@@ -7,10 +7,8 @@ from .kb import (EntrySet, KnowledgeGraph, Triple, build_graph,
 from .embedding import (EmbeddingTable, TransEConfig, bow_embed, embed_entry,
                         load_embeddings, make_bow_table, mean_tail_rank,
                         rank_tail, save_embeddings, train_transe, transe_score)
-from .model import (ModelDims, ModelParams, backward, build_memory,
-                    build_query, encode_question, forward, init_params,
-                    joint_embed, load_checkpoint, predict, save_checkpoint,
-                    slot_features, update_query)
+from .model import (ModelDims, ModelParams, backward, forward, init_params,
+                    load_checkpoint, predict, save_checkpoint, slot_features)
 from .spotting import (SlotAssignment, SpottedSet, expand_neighborhood,
                        match_entries, select_slots, spot_question,
                        spot_triples)

@@ -25,7 +25,7 @@ from .kb import (KnowledgeGraph, Triple, build_graph, canonicalize_relation,
 from .model import (MODES, ModelDims, ModelParams, forward, load_checkpoint,
                     predict, save_checkpoint, slot_features)
 from .spotting import (expand_neighborhood, match_entries, select_slots,
-                       spot_triples)
+                       spot_question, spot_triples)
 from .training import (EvalReport, TrainConfig, evaluate, format_report_table,
                        gradient_check, load_dataset, make_synthetic_task,
                        save_dataset, train)
@@ -220,8 +220,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if mode != "q_only" and graph is None:
         raise ValueError("--kb is required for any mode that uses memory")
     table = _load_table(args, graph, params.dims.d_e, mode)
-    report = evaluate(examples, params, graph, table, mode,
-                      threads=args.threads)
+    report = evaluate(examples, params, graph, table, mode)
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
@@ -249,12 +248,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         if not line.strip():
             break
         tokens = [lemmatize(t) for t in line.split()]
-        feats = None
-        assignment = None
+        feats = assignment = None
         if mode != "q_only":
-            matched = match_entries(tokens, graph.entry_set())
-            spotted = expand_neighborhood(spot_triples(matched, graph), graph)
-            assignment = select_slots(spotted, graph, params.dims.m_slots)
+            assignment = spot_question(tokens, graph, params.dims.m_slots)
             feats = slot_features(assignment, table, graph)
         trace = forward(tokens, u, params, mode, feats)
         idx, _ = predict(trace.q_prime, params.matrices["W_o"])
@@ -325,7 +321,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                              mode=mode, dims=dims)
         params, curve = train(train_set, graph, table, config)
         report = evaluate(test_set, params, graph, table, mode,
-                          threads=args.threads, loss_curve=curve)
+                          loss_curve=curve)
         rows.append((cli_mode, report))
         report_json[cli_mode] = report.to_json()
     if args.json:
@@ -434,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=CLI_MODES, default="full")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the derived embedding table (match training)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -465,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ablate)
 

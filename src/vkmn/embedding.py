@@ -204,7 +204,7 @@ def make_bow_table(graph: KnowledgeGraph, dim: int, seed: int = 0) -> EmbeddingT
     Stand-in for pretrained word vectors when none are supplied; frozen like
     any other Phi source.
     """
-    tokens = sorted({tok for phrase in graph.entries for tok in phrase.split()})
+    tokens = sorted({tok for phrase in graph.entry_set().combined for tok in phrase.split()})
     rng = np.random.default_rng(seed)
     vecs = rng.uniform(-0.5, 0.5, size=(len(tokens), dim))
     return EmbeddingTable(

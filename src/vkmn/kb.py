@@ -126,10 +126,10 @@ class EntrySet:
 
     entities: frozenset
     relations: frozenset
+    combined: frozenset = field(init=False)
 
-    @property
-    def combined(self) -> frozenset:
-        return self.entities | self.relations
+    def __post_init__(self):
+        object.__setattr__(self, "combined", self.entities | self.relations)
 
 
 # --- QA-pair template extraction -------------------------------------------
@@ -284,7 +284,7 @@ def filter_by_frequency(triples: Sequence[Triple], min_count: int = 3) -> List[T
 
 
 class KnowledgeGraph:
-    """Deduplicated triple store with entry and adjacency indices.
+    """Deduplicated triple store indexed by phrase.
 
     Triple ids are insertion order after dedup. Immutable after build;
     triple_reads counts get_triple calls for the no-memory-mode isolation
@@ -305,12 +305,7 @@ class KnowledgeGraph:
             for phrase in t.phrases():
                 self.entry_index.setdefault(phrase, set()).add(tid)
                 self.frequency[phrase] += 1
-        self.adjacency: Dict[int, Set[int]] = {tid: set() for tid in range(len(self.triples))}
-        for group in self.entry_index.values():
-            for tid in group:
-                self.adjacency[tid] |= group
-        for tid, adj in self.adjacency.items():
-            adj.discard(tid)
+        self._entry_set = EntrySet(frozenset(self.entities), frozenset(self.relations))
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -320,11 +315,13 @@ class KnowledgeGraph:
         return self.triples[tid]
 
     def entry_set(self) -> EntrySet:
-        return EntrySet(frozenset(self.entities), frozenset(self.relations))
+        return self._entry_set
 
-    @property
-    def entries(self) -> Set[str]:
-        return self.entities | self.relations
+    def neighbors(self, tid: int) -> Set[int]:
+        """Ids of the other triples that share at least one phrase with tid."""
+        out = set().union(*(self.entry_index[p] for p in self.triples[tid].phrases()))
+        out.discard(tid)
+        return out
 
     def frequency_sum(self, tid: int) -> int:
         return sum(self.frequency[p] for p in self.triples[tid].phrases())

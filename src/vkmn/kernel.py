@@ -26,13 +26,6 @@ def as_vector(x, name: str = "vector") -> Array:
     return v
 
 
-def as_matrix(x, name: str = "matrix") -> Array:
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got shape {m.shape}")
-    return m
-
-
 def hadamard(a: Array, b: Array) -> Array:
     """Elementwise product of two equal-length vectors."""
     a = as_vector(a, "a")
@@ -77,14 +70,6 @@ def softmax(scores: Array) -> Array:
     scores = as_vector(scores, "scores")
     e = np.exp(scores - scores.max())
     return e / e.sum()
-
-
-def matvec(W: Array, x: Array) -> Array:
-    W = as_matrix(W, "W")
-    x = as_vector(x, "x")
-    if W.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {W.shape[0]}x{W.shape[1]}, vector has dim {x.shape[0]}")
-    return W @ x
 
 
 def log_sum_exp(v: Array) -> float:

@@ -98,12 +98,7 @@ def init_params(vocab: Sequence[str], answer_vocab: Sequence[str],
                        answer_vocab=list(answer_vocab), matrices=matrices)
 
 
-# --- individual pipeline ops -------------------------------------------------
-
-def encode_question(tokens: Sequence[str], params: ModelParams) -> Array:
-    t, _, _, _ = _encode(tokens, params)
-    return t
-
+# --- forward/backward ------------------------------------------------------------
 
 def _encode(tokens: Sequence[str], params: ModelParams):
     if not tokens:
@@ -120,73 +115,10 @@ def _encode(tokens: Sequence[str], params: ModelParams):
     return t, m_bar, known_ids, len(tokens)
 
 
-def build_query(t: Array, u: Array) -> Array:
-    return hadamard(t, u)
-
-
-def joint_embed(entry: str, u: Array, params: ModelParams,
-                table: EmbeddingTable, is_relation: bool = False) -> Array:
-    """Psi(e, u) = tanh(W_e Phi(e)) * tanh(W_u u)."""
-    phi = embed_entry(entry, table, is_relation=is_relation)
-    return hadamard(tanh_map(params.matrices["W_e"] @ phi),
-                    tanh_map(params.matrices["W_u"] @ u))
-
-
-@dataclass
-class MemoryBlock:
-    kind: str
-    keys: Array    # (M, d_j), zero rows at masked slots
-    values: Array  # (M, d_j)
-    mask: Array    # (M,) bool
-
-
-def build_memory(slots: SlotAssignment, u: Array, kind: str, params: ModelParams,
-                 table: EmbeddingTable, graph: KnowledgeGraph) -> MemoryBlock:
-    if kind not in BLOCK_LAYOUT:
-        raise ValueError(f"unknown block kind {kind!r}")
-    k1, k2, val = BLOCK_LAYOUT[kind]
-    m = len(slots.slots)
-    keys = np.zeros((m, params.dims.d_j))
-    values = np.zeros((m, params.dims.d_j))
-    for i, tid in enumerate(slots.slots):
-        if tid is None:
-            continue
-        parts = dict(zip(("subject", "relation", "target"),
-                         graph.get_triple(tid).phrases()))
-        psi = {role: joint_embed(parts[role], u, params, table,
-                                 is_relation=(role == "relation"))
-               for role in ("subject", "relation", "target")}
-        keys[i] = psi[k1] + psi[k2]
-        values[i] = psi[val]
-    return MemoryBlock(kind=kind, keys=keys, values=values,
-                       mask=np.array(slots.mask, dtype=bool))
-
-
-def address_keys(q: Array, block: MemoryBlock, A: Array) -> Array:
-    """p_i = softmax(q . A k_i) over unmasked slots; all-masked -> zeros."""
-    if not block.mask.any():
-        return np.zeros(len(block.mask))
-    z = block.keys @ (A.T @ q)
-    return masked_softmax(z, block.mask)
-
-
-def read_values(p: Array, block: MemoryBlock, A: Array) -> Array:
-    return A @ (block.values.T @ p)
-
-
-def update_query(q: Array, o_blocks: Sequence[Array]) -> Array:
-    q_prime = q.copy()
-    for o in o_blocks:
-        q_prime = q_prime + o
-    return q_prime
-
-
 def predict(q_prime: Array, W_o: Array) -> Tuple[int, Array]:
     probs = softmax(W_o @ q_prime)
     return int(np.argmax(probs)), probs
 
-
-# --- fused forward/backward ---------------------------------------------------
 
 @dataclass
 class SlotFeatures:
@@ -411,9 +343,12 @@ def load_checkpoint(path: str) -> ModelParams:
         out = []
         for _ in range(count):
             if off + 4 > len(data):
-                raise ValueError(f"{path}: truncated string section")
+                raise ValueError(f"{path}: truncated string section at byte {off}")
             (n,) = struct.unpack_from("<I", data, off)
             off += 4
+            if off + n > len(data):
+                raise ValueError(f"{path}: truncated string at byte {off}, "
+                                 f"{n} bytes declared, {len(data) - off} left")
             out.append(data[off:off + n].decode("utf-8"))
             off += n
         return out

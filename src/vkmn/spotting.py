@@ -1,8 +1,9 @@
 """Question-to-memory retrieval: entry matching, triple spotting, slot packing.
 
 Pipeline per question: greedy n-gram matching against the KB entry set,
-collect triples anchored by at least two matched entries, widen one
-adjacency hop, then rank and pad into exactly M memory slots.
+collect triples anchored by at least two matched entries, widen by one hop
+to the triples sharing a phrase with them, then rank and pad into exactly M
+memory slots.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def expand_neighborhood(spotted: SpottedSet, graph: KnowledgeGraph) -> SpottedSe
     core_set = set(spotted.core)
     neighbors: Set[int] = set()
     for tid in spotted.core:
-        neighbors |= graph.adjacency[tid]
+        neighbors |= graph.neighbors(tid)
     neighbors -= core_set
     expanded = list(spotted.core) + sorted(neighbors)
     match_count = dict(spotted.match_count)

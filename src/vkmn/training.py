@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -203,31 +202,18 @@ def format_report_table(rows: Sequence[Tuple[str, "EvalReport"]]) -> str:
 
 def evaluate(test_set: Sequence[VqaExample], params: ModelParams,
              graph: Optional[KnowledgeGraph], table: Optional[EmbeddingTable],
-             mode: str, threads: int = 1,
-             loss_curve: Optional[List[float]] = None) -> EvalReport:
+             mode: str, loss_curve: Optional[List[float]] = None) -> EvalReport:
     """Argmax prediction per example; gold answers outside the answer
-    vocabulary are automatic misses. Thread count never changes results."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    vocabulary are automatic misses."""
     w_o = params.matrices["W_o"]
-
-    def judge(ex: VqaExample) -> Tuple[str, bool]:
+    counts = {t: 0 for t in ANSWER_TYPES}
+    correct = {t: 0 for t in ANSWER_TYPES}
+    for ex in test_set:
         feats = _prepare(ex, graph, table, mode, params.dims.m_slots)
         trace = forward(ex.question_tokens, ex.visual_feature, params, mode, feats)
         idx, _ = predict(trace.q_prime, w_o)
-        return ex.answer_type, params.answer_vocab[idx] == ex.answer
-
-    if threads == 1:
-        results = [judge(ex) for ex in test_set]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(judge, test_set))
-
-    counts = {t: 0 for t in ANSWER_TYPES}
-    correct = {t: 0 for t in ANSWER_TYPES}
-    for answer_type, ok in results:
-        counts[answer_type] += 1
-        correct[answer_type] += int(ok)
+        counts[ex.answer_type] += 1
+        correct[ex.answer_type] += int(params.answer_vocab[idx] == ex.answer)
     return EvalReport(counts=counts, correct=correct,
                       loss_curve=list(loss_curve or []))
 
@@ -247,7 +233,7 @@ def gradient_check(config: TrainConfig, seed: int = 0) -> float:
     graph = build_graph(triples)
 
     if config.mode == "bow":
-        tokens = sorted({tok for e in graph.entries for tok in e.split()})
+        tokens = sorted({tok for e in graph.entry_set().combined for tok in e.split()})
         table = EmbeddingTable(
             dim=dims.d_e,
             entity_vectors={t: rng.standard_normal(dims.d_e) for t in tokens},
@@ -266,7 +252,7 @@ def gradient_check(config: TrainConfig, seed: int = 0) -> float:
     slots = SlotAssignment(slots=slot_ids, mask=[s is not None for s in slot_ids])
     features = None if config.mode == "q_only" else slot_features(slots, table, graph)
 
-    vocab = sorted({tok for e in graph.entries for tok in e.split()})
+    vocab = sorted({tok for e in graph.entry_set().combined for tok in e.split()})
     answers = [f"ans{i}" for i in range(dims.k_answers)]
     params = init_params(vocab, answers, dims, seed=seed)
     question = ["alpha", "near", "oov", "beta"]
@@ -389,7 +375,7 @@ def make_synthetic_task(seed: int = 7, n_entities: int = 20, n_relations: int = 
 # --- dataset files ----------------------------------------------------------------
 
 def load_dataset(path: str) -> List[VqaExample]:
-    """JSONL: {"question": [tokens], "feature": [reals], "answer": str,
+    """JSONL: {"question": [tokens], "feature": [finite reals], "answer": str,
     optional "answer_type"}. Question tokens are lowercased and lemmatized
     on the way in, answers lowercased."""
     examples = []
@@ -401,10 +387,12 @@ def load_dataset(path: str) -> List[VqaExample]:
             try:
                 obj = json.loads(line)
                 tokens = [lemmatize(str(t)) for t in obj["question"]]
+                feature = np.array([float(v) for v in obj["feature"]], dtype=np.float64)
+                if not np.isfinite(feature).all():
+                    raise ValueError("feature has a non-finite value")
                 examples.append(VqaExample(
                     question_tokens=tokens,
-                    visual_feature=np.array([float(v) for v in obj["feature"]],
-                                            dtype=np.float64),
+                    visual_feature=feature,
                     answer=str(obj["answer"]).lower(),
                     answer_type=str(obj.get("answer_type", "")),
                 ))

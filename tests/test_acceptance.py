@@ -24,7 +24,6 @@ from vkmn.model import (
     forward,
     init_params,
     load_checkpoint,
-    read_values,
     save_checkpoint,
     slot_features,
 )
@@ -100,31 +99,32 @@ def test_addressing_and_reading_algebra():
         p = masked_softmax(scores, mask)
         ok &= abs(p.sum() - 1.0) <= 1e-12
         ok &= bool(np.all(p[~mask] == 0.0))
-    # a one-hot address reads exactly one value column: o = A v_j
-    for _ in range(50):
-        m, d, d_j = 5, 7, 6
-        A = rng.standard_normal((d, d_j))
-        values = rng.standard_normal((m, d_j))
-        j = int(rng.integers(m))
-        p_onehot = np.zeros(m)
-        p_onehot[j] = 1.0
-
-        class _Blk:
-            pass
-
-        blk = _Blk()
-        blk.values = values
-        o = read_values(p_onehot, blk, A)
-        ok &= o.tobytes() == (A @ values[j]).tobytes()
-    # an all-masked memory contributes nothing: q' = q and the full-mode
-    # logits coincide with the memoryless mode bit for bit
+    # a one-real-slot memory addresses it one-hot and reads exactly its
+    # value row in every block: o = A v_j
     dims = GRAD_DIMS
-    params = init_params(["alpha", "near", "beta"], ["a0", "a1", "a2"], dims, seed=1)
     graph = build_graph([Triple("alpha", "near", "beta")])
     from vkmn.embedding import EmbeddingTable
 
     table = EmbeddingTable(dim=dims.d_e,
                            entity_vectors={"alpha": rng.standard_normal(dims.d_e)})
+    for seed in range(50):
+        params = init_params(["alpha", "near", "beta"], ["a0", "a1", "a2"], dims,
+                             seed=seed)
+        j = seed % dims.m_slots
+        tids = [None] * dims.m_slots
+        tids[j] = 0
+        one = SlotAssignment(slots=tids, mask=[t is not None for t in tids])
+        tr = forward(["alpha", "near"], rng.standard_normal(dims.d), params, "full",
+                     slot_features(one, table, graph))
+        onehot = np.zeros(dims.m_slots)
+        onehot[j] = 1.0
+        ok &= len(tr.blocks) == 3
+        for blk in tr.blocks:
+            ok &= np.array_equal(blk.p, onehot)
+            ok &= blk.o.tobytes() == (params.matrices[blk.param] @ blk.V[j]).tobytes()
+    # an all-masked memory contributes nothing: q' = q and the full-mode
+    # logits coincide with the memoryless mode bit for bit
+    params = init_params(["alpha", "near", "beta"], ["a0", "a1", "a2"], dims, seed=1)
     empty = SlotAssignment(slots=[None] * dims.m_slots, mask=[False] * dims.m_slots)
     feats = slot_features(empty, table, graph)
     u = rng.standard_normal(dims.d)
@@ -188,15 +188,15 @@ def test_spotting_matches_brute_force():
                                 if len(matched & ps) >= 2)
             ok &= spotted.core == brute_core
             expanded = expand_neighborhood(spotted, graph)
-            core_set = set(expanded.core)
-            for tid in expanded.expanded:
-                ok &= tid in core_set or any(
-                    phrase_sets[tid] & phrase_sets[c] for c in core_set)
+            core_phrases = set().union(*(phrase_sets[c] for c in brute_core))
+            brute_hop = [tid for tid, ps in enumerate(phrase_sets)
+                         if tid not in brute_core and ps & core_phrases]
+            ok &= expanded.expanded == brute_core + brute_hop
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0 and n_questions == 1000
     _verdict("spotting equals brute force",
-             ok, f"{n_questions} questions over 100 KBs, expansion within "
-                 f"one hop, {elapsed:.1f}s < 5s")
+             ok, f"{n_questions} questions over 100 KBs, expansion equals the "
+                 f"one-hop set, {elapsed:.1f}s < 5s")
 
 
 # 4 -------------------------------------------------------------------------

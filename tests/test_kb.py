@@ -224,9 +224,9 @@ def test_graph_indices_and_adjacency():
     assert g.entities == {"dog", "bone", "cat", "fish"}
     assert g.relations == {"eat", "chase"}
     # triples 0 and 1 share "eat"; 0 and 2 share "dog"; 1 and 2 share "cat"
-    assert g.adjacency[0] == {1, 2}
-    assert g.adjacency[1] == {0, 2}
-    assert g.adjacency[2] == {0, 1}
+    assert g.neighbors(0) == {1, 2}
+    assert g.neighbors(1) == {0, 2}
+    assert g.neighbors(2) == {0, 1}
     assert g.entry_index["dog"] == {0, 2}
     # per-phrase counts over stored triples
     assert g.frequency["dog"] == 2
@@ -237,8 +237,8 @@ def test_graph_indices_and_adjacency():
 
 def test_graph_isolated_triple_has_no_neighbors():
     g = build_graph([_t("a", "b", "c"), _t("x", "y", "z")])
-    assert g.adjacency[0] == set()
-    assert g.adjacency[1] == set()
+    assert g.neighbors(0) == set()
+    assert g.neighbors(1) == set()
 
 
 def test_graph_deduplicates_on_construction():
@@ -272,7 +272,7 @@ def test_graph_rebuild_is_identical(raw):
     g2 = build_graph(list(g1.triples))
     assert g1.triples == g2.triples
     assert g1.entry_index == g2.entry_index
-    assert g1.adjacency == g2.adjacency
+    assert all(g1.neighbors(tid) == g2.neighbors(tid) for tid in range(len(g1)))
 
 
 # ---------------------------------------------------------------- persistence

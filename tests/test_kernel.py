@@ -13,7 +13,6 @@ from vkmn.kernel import (
     hadamard,
     log_sum_exp,
     masked_softmax,
-    matvec,
     max_relative_error,
     sgd_step,
     softmax,
@@ -127,12 +126,6 @@ def test_hadamard_oracle():
     assert np.array_equal(out, np.array([3.0, 8.0]))
     with pytest.raises(ValueError):
         hadamard(np.array([1.0]), np.array([1.0, 2.0]))
-
-
-def test_matvec_oracle():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    v = np.array([1.0, 1.0])
-    assert np.array_equal(matvec(m, v), np.array([3.0, 7.0]))
 
 
 def test_log_sum_exp_stable():

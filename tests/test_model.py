@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkmn.embedding import EmbeddingTable, make_bow_table
+from vkmn.embedding import EmbeddingTable, embed_entry, make_bow_table
 from vkmn.kb import Triple, build_graph
 from vkmn.kernel import finite_diff_grad, max_relative_error
 from vkmn.model import (
@@ -16,20 +16,13 @@ from vkmn.model import (
     MODES,
     ModelDims,
     ModelParams,
-    address_keys,
-    build_memory,
-    build_query,
     backward,
-    encode_question,
     forward,
     init_params,
-    joint_embed,
     load_checkpoint,
     predict,
-    read_values,
     save_checkpoint,
     slot_features,
-    update_query,
 )
 from vkmn.spotting import SlotAssignment
 
@@ -84,19 +77,24 @@ def test_params_shape_validation():
 
 # ---------------------------------------------------------------- encoder
 
+def _t(tokens, p):
+    """Question encoding t, read off the trace of a memoryless forward pass."""
+    return forward(tokens, np.ones(DIMS.d), p, "q_only").t
+
+
 def test_encode_rejects_empty():
     with pytest.raises(ValueError):
-        encode_question([], _params())
+        forward([], np.ones(DIMS.d), _params(), "q_only")
 
 
 def test_encode_all_unknown_gives_zero():
-    t = encode_question(["zzz", "qqq"], _params())
+    t = _t(["zzz", "qqq"], _params())
     assert np.array_equal(t, np.zeros(DIMS.d))  # tanh(W 0) == 0 exactly
 
 
 def test_encode_unknown_tokens_count_in_denominator():
     p = _params()
-    t_half = encode_question(["alpha", "zzz"], p)
+    t_half = _t(["alpha", "zzz"], p)
     row = p.matrices["word_table"][p.token_index["alpha"]]
     want = np.tanh(p.matrices["W_t"] @ (row / 2.0))
     assert np.max(np.abs(t_half - want)) < 1e-15
@@ -106,82 +104,92 @@ def test_encode_unknown_tokens_count_in_denominator():
 @settings(max_examples=50, deadline=None)
 def test_encode_permutation_invariant_bitwise(perm):
     p = _params()
-    base = encode_question(["alpha", "beta", "gamma", "near", "zzz"], p)
-    assert np.array_equal(encode_question(list(perm), p), base)
+    base = _t(["alpha", "beta", "gamma", "near", "zzz"], p)
+    assert np.array_equal(_t(list(perm), p), base)
 
 
 def test_build_query_oracle():
-    q = build_query(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert np.array_equal(q, [3.0, 8.0])
+    u = np.linspace(-1.0, 1.0, DIMS.d)
+    tr = forward(["alpha", "near"], u, _params(), "q_only")
+    assert tr.q.tobytes() == (tr.t * u).tobytes()
 
 
 # ---------------------------------------------------------------- blocks
 
+def _psi(phrase, u, p, table, is_relation=False):
+    """Psi(e, u) = tanh(W_e Phi(e)) * tanh(W_u u), computed by hand."""
+    phi = embed_entry(phrase, table, is_relation=is_relation)
+    return np.tanh(p.matrices["W_e"] @ phi) * np.tanh(p.matrices["W_u"] @ u)
+
+
 def test_joint_embed_matches_manual():
-    graph, table, _ = _setting()
+    graph, table, slots = _setting()
     p = _params()
     u = np.linspace(-1.0, 1.0, DIMS.d)
-    got = joint_embed("alpha", u, p, table)
-    from vkmn.embedding import embed_entry
-
-    phi = embed_entry("alpha", table)
-    want = np.tanh(p.matrices["W_e"] @ phi) * np.tanh(p.matrices["W_u"] @ u)
-    assert np.max(np.abs(got - want)) < 1e-15
+    tr = forward(["alpha"], u, p, "full", _features(graph, table, slots))
+    # the sr block's value row 0 is Psi of triple 0's target "beta"
+    sr = tr.blocks[0]
+    assert np.max(np.abs(sr.V[0] - _psi("beta", u, p, table))) < 1e-15
 
 
 def test_build_memory_layouts():
     graph, table, slots = _setting()
     p = _params()
     u = np.linspace(-0.5, 0.5, DIMS.d)
-    psi = {}
-    for role, phrase in (("subject", "alpha"), ("relation", "near"), ("target", "beta")):
-        psi[role] = joint_embed(phrase, u, p, table, is_relation=(role == "relation"))
-    for kind, (k1, k2, val) in BLOCK_LAYOUT.items():
-        blk = build_memory(slots, u, kind, p, table, graph)
-        assert np.max(np.abs(blk.keys[0] - (psi[k1] + psi[k2]))) < 1e-15
-        assert np.max(np.abs(blk.values[0] - psi[val])) < 1e-15
-        assert np.array_equal(blk.keys[2], np.zeros(DIMS.d_j))  # masked row
-
-
-def test_build_memory_unknown_kind():
-    graph, table, slots = _setting()
-    with pytest.raises(ValueError):
-        build_memory(slots, np.zeros(DIMS.d), "xy", _params(), table, graph)
+    psi = {role: _psi(phrase, u, p, table, is_relation=(role == "relation"))
+           for role, phrase in (("subject", "alpha"), ("relation", "near"),
+                                ("target", "beta"))}
+    tr = forward(["alpha"], u, p, "full", _features(graph, table, slots))
+    assert [blk.kind for blk in tr.blocks] == list(BLOCK_LAYOUT)
+    for blk in tr.blocks:
+        k1, k2, val = BLOCK_LAYOUT[blk.kind]
+        assert np.max(np.abs(blk.K[0] - (psi[k1] + psi[k2]))) < 1e-15
+        assert np.max(np.abs(blk.V[0] - psi[val])) < 1e-15
+        assert np.array_equal(blk.K[2], np.zeros(DIMS.d_j))  # masked row
+        assert np.array_equal(blk.V[2], np.zeros(DIMS.d_j))
 
 
 def test_address_keys_single_slot_one_hot():
     graph, table, _ = _setting()
-    p = _params()
     one = SlotAssignment(slots=[0, None, None], mask=[True, False, False])
-    blk = build_memory(one, np.ones(DIMS.d), "sr", p, table, graph)
-    probs = address_keys(np.ones(DIMS.d), blk, p.matrices["A_sr"])
-    assert np.array_equal(probs, [1.0, 0.0, 0.0])
+    tr = forward(["alpha"], np.ones(DIMS.d), _params(), "full",
+                 _features(graph, table, one))
+    for blk in tr.blocks:
+        assert np.array_equal(blk.p, [1.0, 0.0, 0.0])
 
 
 def test_address_keys_all_masked_zero():
     graph, table, _ = _setting()
     p = _params()
     empty = SlotAssignment(slots=[None, None, None], mask=[False, False, False])
-    blk = build_memory(empty, np.ones(DIMS.d), "sr", p, table, graph)
-    assert np.array_equal(address_keys(np.ones(DIMS.d), blk, p.matrices["A_sr"]),
-                          np.zeros(3))
+    tr = forward(["alpha"], np.ones(DIMS.d), p, "full", _features(graph, table, empty))
+    # no slot to address: no block runs and the memory adds nothing
+    assert tr.blocks == []
+    assert tr.q_prime.tobytes() == tr.q.tobytes()
 
 
 def test_read_values_one_hot_bit_exact():
-    graph, table, slots = _setting()
+    graph, table, _ = _setting()
     p = _params()
-    blk = build_memory(slots, np.ones(DIMS.d), "sr", p, table, graph)
-    A = p.matrices["A_sr"]
-    p_vec = np.array([0.0, 1.0, 0.0])
-    assert np.array_equal(read_values(p_vec, blk, A), A @ blk.values[1])
+    for j in range(3):
+        tids = [None, None, None]
+        tids[j] = j
+        one = SlotAssignment(slots=tids, mask=[t is not None for t in tids])
+        tr = forward(["alpha"], np.ones(DIMS.d), p, "full", _features(graph, table, one))
+        for blk in tr.blocks:
+            A = p.matrices[blk.param]
+            assert blk.o.tobytes() == (A @ blk.V[j]).tobytes()
 
 
 def test_update_query_additivity():
-    q = np.array([1.0, -2.0])
-    out = update_query(q, [np.array([0.5, 0.5]), np.array([1.0, 0.0])])
-    assert np.array_equal(out, [2.5, -1.5])
-    assert np.array_equal(q, [1.0, -2.0])  # input untouched
-    assert np.array_equal(update_query(q, []), q)
+    graph, table, slots = _setting()
+    feats = _features(graph, table, slots)
+    u = np.linspace(-1, 1, DIMS.d)
+    tr = forward(["alpha", "beta"], u, _params(), "full", feats)
+    sr, st_, rt = tr.blocks
+    assert tr.q_prime.tobytes() == (tr.q + sr.o + st_.o + rt.o).tobytes()
+    single = forward(["alpha", "beta"], u, _params(), "no_replication", feats)
+    assert single.q_prime.tobytes() == (single.q + single.blocks[0].o).tobytes()
 
 
 def test_predict_uniform_when_zero_weights():
@@ -344,6 +352,19 @@ def test_checkpoint_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 5])
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_checkpoint_truncated_inside_last_string(tmp_path, cut):
+    # the last answer string is "no": a cut of 1-2 bytes lands in its body,
+    # a cut of 3 in its length prefix
+    p = _params()
+    path = tmp_path / "model.bin"
+    save_checkpoint(p, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) - cut])
+    with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(path)
 
 

@@ -122,7 +122,7 @@ def test_expand_neighbors_within_one_hop():
     out = expand_neighborhood(spot_triples({"dog", "eat"}, g), g)
     core = set(out.core)
     for tid in out.expanded:
-        assert tid in core or any(tid in g.adjacency[c] for c in core)
+        assert tid in core or any(tid in g.neighbors(c) for c in core)
 
 
 # ---------------------------------------------------------------- slots

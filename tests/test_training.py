@@ -182,15 +182,6 @@ def test_evaluate_empty_bucket_is_none():
     assert report.row()[1] == "-"
 
 
-def test_evaluate_threads_do_not_change_results():
-    params = _zero_output_model(["a", "b"])
-    r1 = evaluate(_bucket_set(), params, None, None, "q_only", threads=1)
-    r4 = evaluate(_bucket_set(), params, None, None, "q_only", threads=4)
-    assert r1.counts == r4.counts and r1.correct == r4.correct
-    with pytest.raises(ValueError):
-        evaluate(_bucket_set(), params, None, None, "q_only", threads=0)
-
-
 def test_evaluate_is_pure():
     params = _zero_output_model(["a", "b"])
     r1 = evaluate(_bucket_set(), params, None, None, "q_only")
@@ -316,6 +307,15 @@ def test_load_dataset_reports_line_numbers(tmp_path):
     path.write_text('{"question": ["q"], "feature": [0.0], "answer": "a"}\n'
                     "not json\n")
     with pytest.raises(ValueError, match="2"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", '"nan"'])
+def test_load_dataset_rejects_non_finite_features(tmp_path, bad):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"question": ["q"], "feature": [0.0], "answer": "a"}\n'
+                    '{"question": ["q"], "feature": [0.0, %s], "answer": "a"}\n' % bad)
+    with pytest.raises(ValueError, match=r"data\.jsonl:2: .*non-finite"):
         load_dataset(path)
 
 
