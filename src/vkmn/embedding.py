@@ -8,6 +8,7 @@ on the unit sphere, relations are unconstrained.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -48,7 +49,13 @@ class TransEHistory:
 
 @dataclass
 class EmbeddingTable:
-    """Phrase-to-vector store; `lookups` counts embed_entry calls."""
+    """Phrase-to-vector store; `lookups` counts embed_entry calls.
+
+    Construction copies the vectors into read-only matrices, one row per
+    phrase in sorted-phrase order; `entity_vectors` and `relation_vectors`
+    then map each phrase to its row, a view. `entity_matrix` and
+    `entity_row` let filtered ranking score every entity at once.
+    """
 
     dim: int
     entity_vectors: Dict[str, Array] = field(default_factory=dict)
@@ -56,6 +63,8 @@ class EmbeddingTable:
     kind: str = "transe"
     lookups: int = field(default=0, compare=False)
     history: Optional[TransEHistory] = field(default=None, compare=False)
+    entity_matrix: Array = field(init=False, repr=False, compare=False)
+    entity_row: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("transe", "bow"):
@@ -64,6 +73,18 @@ class EmbeddingTable:
             for phrase, vec in m.items():
                 if vec.shape != (self.dim,):
                     raise ValueError(f"vector for {phrase!r} has shape {vec.shape}, want ({self.dim},)")
+        self.entity_matrix, self.entity_vectors = _read_only_rows(self.entity_vectors, self.dim)
+        _, self.relation_vectors = _read_only_rows(self.relation_vectors, self.dim)
+        self.entity_row = dict(zip(self.entity_vectors, range(len(self.entity_vectors))))
+
+
+def _read_only_rows(vectors: Dict[str, Array], dim: int):
+    """Stack the vectors, in sorted-phrase order, into one read-only matrix;
+    return it with the phrase-to-row-view map."""
+    phrases = sorted(vectors)
+    matrix = np.array([vectors[p] for p in phrases]) if phrases else np.zeros((0, dim))
+    matrix.flags.writeable = False
+    return matrix, dict(zip(phrases, matrix))
 
 
 def bow_embed(entry: str, word_table: Dict[str, Array], dim: Optional[int] = None) -> Array:
@@ -95,15 +116,33 @@ def _lookup(table: EmbeddingTable, entry: str, is_relation: bool) -> Optional[Ar
     return None
 
 
+def _vector(table: EmbeddingTable, entry: str, is_relation: bool) -> Array:
+    vec = _lookup(table, entry, is_relation)
+    if vec is None:
+        raise KeyError(f"entry {entry!r} not in embedding table")
+    return vec
+
+
+def _scores(base: Array, tails: Array) -> Array:
+    """The TransE score of every row t of `tails`: -||base - t||_2, with
+    base = vec(s) + vec(r). The one score expression: transe_score applies
+    it to a single row, ranking to the whole entity matrix, so both give the
+    same bits for the same triple. These are the operations of
+    -np.linalg.norm(base - tails, axis=1), bit for bit, without its extra
+    temporaries."""
+    diff = base - tails
+    diff *= diff
+    return -np.sqrt(diff.sum(axis=1))
+
+
+def _head(table: EmbeddingTable, s: str, r: str) -> Array:
+    return _vector(table, s, False) + _vector(table, r, True)
+
+
 def transe_score(s: str, r: str, t: str, table: EmbeddingTable) -> float:
     """Triple plausibility: -||vec(s) + vec(r) - vec(t)||_2, 0 is the maximum."""
-    parts = []
-    for entry, is_rel in ((s, False), (r, True), (t, False)):
-        vec = _lookup(table, entry, is_rel)
-        if vec is None:
-            raise KeyError(f"entry {entry!r} not in embedding table")
-        parts.append(vec)
-    return -float(np.linalg.norm(parts[0] + parts[1] - parts[2]))
+    base = _head(table, s, r)
+    return float(_scores(base, _vector(table, t, False)[np.newaxis])[0])
 
 
 def embed_entry(entry: str, table: EmbeddingTable, is_relation: bool = False) -> Array:
@@ -214,55 +253,115 @@ def make_bow_table(graph: KnowledgeGraph, dim: int, seed: int = 0) -> EmbeddingT
     )
 
 
+def _graph_rows(table: EmbeddingTable, graph: KnowledgeGraph) -> Array:
+    """Mask over the rows of table.entity_matrix: true at the graph's entities."""
+    try:
+        rows = np.fromiter(map(table.entity_row.__getitem__, graph.entities),
+                           dtype=np.intp, count=len(graph.entities))
+    except KeyError as e:
+        raise KeyError(f"entry {e.args[0]!r} not in embedding table") from None
+    in_graph = np.zeros(len(table.entity_row), dtype=bool)
+    in_graph[rows] = True
+    return in_graph
+
+
+def _filtered_rank(s: str, r: str, t: str, table: EmbeddingTable,
+                   graph: KnowledgeGraph, in_graph: Array) -> int:
+    if t not in graph.entities:
+        raise ValueError(f"tail {t!r} is not an entity of the graph")
+    scores = _scores(_head(table, s, r), table.entity_matrix)
+    row_t = table.entity_row[t]
+    true = scores[row_t]
+    # Rows are in name order, so "ties, name before t" is "ties, row before t".
+    ahead = scores > true
+    ahead[:row_t] |= scores[:row_t] == true
+    ahead &= in_graph
+    for tid in graph.entry_index.get(s, set()) & graph.entry_index.get(r, set()):
+        other = graph.triples[tid]
+        if other.subject == s and other.relation == r and other.target != t:
+            ahead[table.entity_row[other.target]] = False
+    return 1 + int(np.count_nonzero(ahead))
+
+
 def rank_tail(s: str, r: str, t: str, table: EmbeddingTable, graph: KnowledgeGraph) -> int:
-    """Filtered 1-based rank of the true tail t among all entities.
+    """Filtered 1-based rank of the true tail t among the graph's entities.
 
     Other stored tails for (s, r) are removed from the candidate pool;
-    candidates sort by score descending, name ascending.
+    candidates order by score descending, name ascending. Every entity is
+    scored at once against table.entity_matrix.
     """
-    other_tails = {tr.target for tr in graph.triples
-                   if tr.subject == s and tr.relation == r and tr.target != t}
-    candidates = [e for e in graph.entities if e not in other_tails]
-    scored = sorted(candidates, key=lambda e: (-transe_score(s, r, e, table), e))
-    return scored.index(t) + 1
+    return _filtered_rank(s, r, t, table, graph, _graph_rows(table, graph))
 
 
 def mean_tail_rank(graph: KnowledgeGraph, table: EmbeddingTable) -> float:
-    ranks = [rank_tail(t.subject, t.relation, t.target, table, graph)
+    in_graph = _graph_rows(table, graph)
+    ranks = [_filtered_rank(t.subject, t.relation, t.target, table, graph, in_graph)
              for t in graph.triples]
     return float(np.mean(ranks))
 
 
+RELATION_ROW = "\\rel:"  # marks the relation row of a dual-role phrase
+_ESCAPE = re.compile(r"\\(.?)|_")
+
+
+def _encode_phrase(phrase: str) -> str:
+    return phrase.replace("\\", "\\\\").replace("_", "\\_").replace(" ", "_")
+
+
+def _decode_phrase(name: str) -> str:
+    if "\\" not in name:
+        return name.replace("_", " ")
+
+    def unescape(m: "re.Match[str]") -> str:
+        if m.group(0) == "_":
+            return " "
+        if m.group(1) in ("\\", "_"):
+            return m.group(1)
+        raise ValueError(f"bad escape {m.group(0)!r} in phrase {name!r}")
+
+    return _ESCAPE.sub(unescape, name)
+
+
 def save_embeddings(table: EmbeddingTable, path: str) -> None:
-    """Text format: header `<count> <dim>`, then `<phrase> v1 .. v_dim` per
-    line with spaces in the phrase replaced by underscores. 17 significant
-    digits make the round trip lossless. The file has a single phrase
-    namespace; a phrase present as both entity and relation is written once
-    with its entity vector."""
-    rows: Dict[str, Array] = {}
-    for phrase in sorted(table.relation_vectors):
-        rows[phrase] = table.relation_vectors[phrase]
-    for phrase in sorted(table.entity_vectors):
-        rows[phrase] = table.entity_vectors[phrase]
+    r"""Text format: header `<count> <dim>`, then `<name> v1 .. v_dim` per
+    line, sorted by phrase. The name is the phrase with `\` written `\\`,
+    `_` written `\_` and each space written `_`. 17 significant digits make
+    the round trip lossless. A phrase present only as an entity or only as
+    a relation is written once; a phrase present as both is written twice:
+    its entity vector under its name, its relation vector under
+    `\rel:<name>`."""
+    rows = []
+    for phrase in sorted(table.entity_vectors.keys() | table.relation_vectors.keys()):
+        name = _encode_phrase(phrase)
+        if phrase in table.entity_vectors:
+            rows.append((name, table.entity_vectors[phrase]))
+            if phrase in table.relation_vectors:
+                rows.append((RELATION_ROW + name, table.relation_vectors[phrase]))
+        else:
+            rows.append((name, table.relation_vectors[phrase]))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{len(rows)} {table.dim}\n")
-        for phrase in sorted(rows):
-            vals = " ".join(f"{v:.17g}" for v in rows[phrase])
-            f.write(f"{phrase.replace(' ', '_')} {vals}\n")
+        for name, vec in rows:
+            vals = " ".join(f"{v:.17g}" for v in vec)
+            f.write(f"{name} {vals}\n")
 
 
 def load_embeddings(path: str, graph: Optional[KnowledgeGraph] = None,
                     kind: str = "transe") -> EmbeddingTable:
-    """Read the text format back. With a graph, phrases are routed to the
-    entity/relation map they belong to (both when dual-role); without one,
-    everything lands in entity_vectors."""
+    r"""Read the text format back. A `\rel:` row is a relation vector.
+    Other rows are routed, with a graph, to the entity/relation map their
+    phrase belongs to (both when dual-role, unless a `\rel:` row gives the
+    relation vector); without a graph they land in entity_vectors. Files
+    from before the escapes load unchanged: a bare `_` is still a space."""
     with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: expected '<count> <dim>' header")
-        count, dim = int(header[0]), int(header[1])
+        try:
+            count, dim = (int(h) for h in f.readline().split())
+        except ValueError:
+            raise ValueError(f"{path}:1: expected '<count> <dim>' header") from None
         entity_vectors: Dict[str, Array] = {}
         relation_vectors: Dict[str, Array] = {}
+        relation_rows: Dict[str, Array] = {}
+        seen = set()
         n = 0
         for lineno, line in enumerate(f, start=2):
             line = line.rstrip("\n")
@@ -271,16 +370,30 @@ def load_embeddings(path: str, graph: Optional[KnowledgeGraph] = None,
             fields = line.split(" ")
             if len(fields) != dim + 1:
                 raise ValueError(f"{path}:{lineno}: expected phrase + {dim} values")
-            phrase = fields[0].replace("_", " ")
-            vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+            name = fields[0]
+            relation_row = name.startswith(RELATION_ROW)
+            try:
+                phrase = _decode_phrase(name[len(RELATION_ROW):] if relation_row else name)
+                if not phrase:
+                    raise ValueError("empty phrase")
+                vec = np.array(fields[1:], dtype=np.float64)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            if name in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate row for {phrase!r}")
+            seen.add(name)
+            n += 1
+            if relation_row:
+                relation_rows[phrase] = vec
+                continue
             is_rel = graph is not None and phrase in graph.relations
             is_ent = graph is None or phrase in graph.entities
             if is_rel:
                 relation_vectors[phrase] = vec
             if is_ent or not is_rel:
                 entity_vectors[phrase] = vec
-            n += 1
         if n != count:
             raise ValueError(f"{path}: header says {count} rows, found {n}")
+    relation_vectors.update(relation_rows)
     return EmbeddingTable(dim=dim, entity_vectors=entity_vectors,
                           relation_vectors=relation_vectors, kind=kind)

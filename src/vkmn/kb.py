@@ -10,8 +10,10 @@ merged and frequency-filtered.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 # Irregular forms resolved before any suffix rule fires. Kept to forms that
@@ -293,18 +295,25 @@ class KnowledgeGraph:
 
     def __init__(self, triples: Sequence[Triple]):
         self.triples: List[Triple] = dedup_triples(triples)
+        phrases = [t.phrases() for t in self.triples]
+        self.frequency: Counter = Counter(chain.from_iterable(phrases))
         self.entry_index: Dict[str, Set[int]] = {}
-        self.frequency: Counter = Counter()
         self.entities: Set[str] = set()
         self.relations: Set[str] = set()
         self.triple_reads = 0
-        for tid, t in enumerate(self.triples):
-            self.entities.add(t.subject)
-            self.entities.add(t.target)
-            self.relations.add(t.relation)
-            for phrase in t.phrases():
-                self.entry_index.setdefault(phrase, set()).add(tid)
-                self.frequency[phrase] += 1
+        for tid, (subject, relation, target) in enumerate(phrases):
+            self.entities.add(subject)
+            self.entities.add(target)
+            self.relations.add(relation)
+            for phrase in (subject, relation, target):
+                ids = self.entry_index.get(phrase)
+                if ids is None:
+                    self.entry_index[phrase] = {tid}
+                else:
+                    ids.add(tid)
+        freq = self.frequency
+        # packed, 8 bytes a triple rather than a list of int objects
+        self.frequency_sums = array("q", [freq[s] + freq[r] + freq[t] for s, r, t in phrases])
         self._entry_set = EntrySet(frozenset(self.entities), frozenset(self.relations))
 
     def __len__(self) -> int:
@@ -324,7 +333,9 @@ class KnowledgeGraph:
         return out
 
     def frequency_sum(self, tid: int) -> int:
-        return sum(self.frequency[p] for p in self.triples[tid].phrases())
+        """KB-wide occurrence count of the triple's three phrases, summed;
+        computed for every triple when the graph is built."""
+        return self.frequency_sums[tid]
 
 
 def build_graph(triples: Sequence[Triple]) -> KnowledgeGraph:

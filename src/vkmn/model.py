@@ -326,8 +326,12 @@ def load_checkpoint(path: str) -> ModelParams:
     if data[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic, not a model checkpoint")
     off = 8
+    header = struct.calcsize("<7I")
+    if len(data) < off + header:
+        raise ValueError(f"{path}: truncated header, {len(data) - off} of its "
+                         f"{header} bytes after the magic")
     d, d_j, d_e, d_w, m_slots, k_answers, vocab_size = struct.unpack_from("<7I", data, off)
-    off += 28
+    off += header
     dims = ModelDims(d=d, d_j=d_j, d_e=d_e, d_w=d_w, m_slots=m_slots, k_answers=k_answers)
     matrices = {}
     for name, shape in _matrix_shapes(dims, vocab_size).items():

@@ -8,6 +8,7 @@ memory slots.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -119,11 +120,9 @@ def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -
     """
     if m_slots < 1:
         raise ValueError(f"need at least one slot, got {m_slots}")
-    ranked = sorted(
-        spotted.expanded,
-        key=lambda tid: (-spotted.match_count.get(tid, 0), -graph.frequency_sum(tid), tid),
-    )
-    chosen = ranked[:m_slots]
+    counts, sums = spotted.match_count, graph.frequency_sums
+    chosen = heapq.nsmallest(m_slots, spotted.expanded,
+                             key=lambda tid: (-counts.get(tid, 0), -sums[tid], tid))
     slots: List[Optional[int]] = list(chosen) + [None] * (m_slots - len(chosen))
     mask = [s is not None for s in slots]
     return SlotAssignment(slots=slots, mask=mask)

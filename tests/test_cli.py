@@ -201,6 +201,18 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_truncated_checkpoint_header(tmp_path, capsys):
+    synth = _synth(tmp_path)
+    ckpt = tmp_path / "short.bin"
+    ckpt.write_bytes(b"VKMN0001" + bytes(10))
+    rc = main(["eval", "--dataset", str(synth / "test.jsonl"),
+               "--checkpoint", str(ckpt), "--mode", "q-only"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") and "truncated header" in line
+               for line in err.splitlines())
+
+
 # ---------------------------------------------------------------- query
 
 def test_query_full_mode_shows_support(tmp_path, capsys, monkeypatch):

@@ -97,6 +97,15 @@ def test_transe_score_translation_invariance_exact():
         assert transe_score("s", "r", t, table) == transe_score("s", "r", t, shifted)
 
 
+@given(st.lists(st.floats(min_value=-4, max_value=4), min_size=15, max_size=15))
+@settings(max_examples=100, deadline=None)
+def test_transe_score_is_the_row_norm_bit_for_bit(xs):
+    s, r, t = (np.array(xs[i:i + 5]) for i in (0, 5, 10))
+    table = EmbeddingTable(dim=5, entity_vectors={"s": s, "t": t}, relation_vectors={"r": r})
+    want = -np.linalg.norm((s + r) - t[np.newaxis], axis=1)[0]
+    assert transe_score("s", "r", "t", table) == want
+
+
 def test_transe_score_missing_entry_names_it():
     with pytest.raises(KeyError, match="ghost"):
         transe_score("s", "r", "ghost", _dyadic_table())
@@ -241,6 +250,77 @@ def test_rank_tail_matches_brute_force():
         assert rank_tail(t.subject, t.relation, t.target, table, g) == 1 + order.index(t.target)
 
 
+def _oracle_rank(s, r, t, table, graph):
+    """The scalar definition: sort the filtered pool by (-score, name)."""
+    true_tails = {x.target for x in graph.triples if x.subject == s and x.relation == r}
+    pool = [e for e in graph.entities if e == t or e not in true_tails]
+    order = sorted(pool, key=lambda e: (-transe_score(s, r, e, table), e))
+    return 1 + order.index(t)
+
+
+_NAMES = ["a", "a b", "ab", "b", "b a", "ba", "c", "r0", "r1"]
+_GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def _ranking_case(draw):
+    """A small graph with several stored tails per (s, r), a table whose
+    entity vectors come from a pool of 3 (so exact ties are common), and
+    table-only entities that must never count."""
+    names = draw(st.permutations(_NAMES))
+    n_ent = draw(st.integers(min_value=2, max_value=6))
+    ents, extra = names[:n_ent], names[n_ent:n_ent + 2]
+    rels = ["r0", "r1"]
+    triples = draw(st.lists(
+        st.tuples(st.sampled_from(ents), st.sampled_from(rels), st.sampled_from(ents)),
+        min_size=1, max_size=12))
+    graph = build_graph([Triple(*t) for t in triples])
+    dim = 2
+    pool = draw(st.lists(st.tuples(_GRID, _GRID), min_size=3, max_size=3))
+    ent_vecs = {e: np.array(draw(st.sampled_from(pool)))
+                for e in sorted(graph.entities) + extra}
+    rel_vecs = {r: np.array(draw(st.tuples(_GRID, _GRID))) for r in rels}
+    return graph, EmbeddingTable(dim=dim, entity_vectors=ent_vecs, relation_vectors=rel_vecs)
+
+
+@given(_ranking_case())
+@settings(max_examples=200, deadline=None)
+def test_rank_tail_equals_sorted_oracle(case):
+    graph, table = case
+    oracle = [_oracle_rank(t.subject, t.relation, t.target, table, graph)
+              for t in graph.triples]
+    got = [rank_tail(t.subject, t.relation, t.target, table, graph) for t in graph.triples]
+    assert got == oracle
+    assert mean_tail_rank(graph, table) == float(np.mean(oracle))
+
+
+def test_rank_tail_missing_entity_names_it():
+    g = build_graph([Triple("a", "r", "b"), Triple("b", "r", "ghost")])
+    table = EmbeddingTable(dim=2, entity_vectors={"a": np.zeros(2), "b": np.ones(2)},
+                           relation_vectors={"r": np.ones(2)})
+    with pytest.raises(KeyError, match="ghost"):
+        rank_tail("a", "r", "b", table, g)
+    with pytest.raises(KeyError, match="ghost"):
+        mean_tail_rank(g, table)
+    with pytest.raises(ValueError, match="nowhere"):
+        rank_tail("a", "r", "nowhere", table, build_graph([Triple("a", "r", "b")]))
+
+
+def test_table_vectors_are_read_only_copies():
+    caller = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
+    rel = {"r": np.array([0.5, 0.5])}
+    table = EmbeddingTable(dim=2, entity_vectors=caller, relation_vectors=rel)
+    for vec in (table.entity_vectors["a"], table.relation_vectors["r"]):
+        with pytest.raises(ValueError):
+            vec[0] = 9.0
+    with pytest.raises(ValueError):
+        table.entity_matrix[1, 1] = 9.0
+    caller["a"][0] = 9.0  # the table holds its own copy
+    assert np.array_equal(table.entity_vectors["a"], [1.0, 2.0])
+    assert table.entity_vectors["b"].base is table.entity_matrix
+    assert np.array_equal(table.entity_matrix[table.entity_row["b"]], [3.0, 4.0])
+
+
 # ---------------------------------------------------------------- bow table
 
 def test_make_bow_table_deterministic():
@@ -289,6 +369,75 @@ def test_load_embeddings_without_graph_all_entities(tmp_path):
     loaded = load_embeddings(path)
     assert np.array_equal(loaded.entity_vectors["a"], [1.0, 2.0])
     assert loaded.relation_vectors == {}
+
+
+def test_save_load_underscore_and_backslash_phrases(tmp_path):
+    vecs = {"hot_dog": np.array([1.0, 0.0]), "hot dog": np.array([0.0, 1.0]),
+            "back\\slash": np.array([2.0, 2.0]), "\\rel:x": np.array([3.0, 3.0])}
+    table = EmbeddingTable(dim=2, entity_vectors=vecs)
+    path = tmp_path / "vec.txt"
+    save_embeddings(table, path)
+    loaded = load_embeddings(path)
+    assert set(loaded.entity_vectors) == set(vecs)
+    for k, v in vecs.items():
+        assert np.array_equal(loaded.entity_vectors[k], v)
+    assert np.array_equal(embed_entry("hot_dog", loaded), [1.0, 0.0])
+
+
+@given(st.dictionaries(st.text(alphabet="a_ \\rel:", min_size=1, max_size=6),
+                       st.tuples(_GRID, _GRID), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_save_load_any_phrase_round_trips(tmp_path_factory, vecs):
+    table = EmbeddingTable(dim=2, entity_vectors={k: np.array(v) for k, v in vecs.items()})
+    path = tmp_path_factory.mktemp("vec") / "vec.txt"
+    save_embeddings(table, path)
+    loaded = load_embeddings(path)
+    assert set(loaded.entity_vectors) == set(vecs)
+    for k, v in vecs.items():
+        assert np.array_equal(loaded.entity_vectors[k], v)
+
+
+def test_save_load_keeps_both_vectors_of_dual_role_phrase(tmp_path):
+    g = build_graph([Triple("dog", "part of", "animal"), Triple("part of", "be", "relation"),
+                     Triple("cat", "part of", "animal")])
+    table = train_transe(g, TransEConfig(dim=4, epochs=5, seed=0))
+    assert not np.array_equal(table.entity_vectors["part of"],
+                              table.relation_vectors["part of"])
+    path = tmp_path / "vec.txt"
+    save_embeddings(table, path)
+    for graph in (g, None):
+        loaded = load_embeddings(path, graph=graph)
+        assert np.array_equal(loaded.entity_vectors["part of"], table.entity_vectors["part of"])
+        assert np.array_equal(loaded.relation_vectors["part of"],
+                              table.relation_vectors["part of"])
+    loaded = load_embeddings(path, graph=g)
+    for name in ("entity_vectors", "relation_vectors"):
+        want, got = getattr(table, name), getattr(loaded, name)
+        assert set(got) == set(want)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def test_load_embeddings_reads_files_without_escapes(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("2 2\nred_car 0.5 -0.25\nsit_on_top 1 2\n")
+    g = build_graph([Triple("red car", "sit on top", "red car")])
+    loaded = load_embeddings(path, graph=g)
+    assert np.array_equal(loaded.entity_vectors["red car"], [0.5, -0.25])
+    assert np.array_equal(loaded.relation_vectors["sit on top"], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("body, where", [
+    ("bad\\escape 1 2\n", "vec.txt:2"),
+    ("trailing\\ 1 2\n", "vec.txt:2"),
+    ("a 1 2\na 3 4\n", "vec.txt:3"),
+    ("a 1 x\n", "vec.txt:2"),
+    ("\\rel: 1 2\n", "vec.txt:2"),
+])
+def test_load_embeddings_rejects_bad_rows_with_location(tmp_path, body, where):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"{body.count(chr(10))} 2\n{body}")
+    with pytest.raises(ValueError, match=where):
+        load_embeddings(path)
 
 
 def test_load_embeddings_malformed(tmp_path):

@@ -368,6 +368,18 @@ def test_checkpoint_truncated_inside_last_string(tmp_path, cut):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("kept", [0, 1, 10, 27])
+def test_checkpoint_truncated_header(tmp_path, kept):
+    # magic intact, then fewer than the header's 28 bytes of dims
+    p = _params()
+    path = tmp_path / "model.bin"
+    save_checkpoint(p, path)
+    path.write_bytes(path.read_bytes()[:8 + kept])
+    with pytest.raises(ValueError, match="truncated header") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
 def test_checkpoint_trailing_garbage(tmp_path):
     p = _params()
     path = tmp_path / "model.bin"
