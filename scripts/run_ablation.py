@@ -3,9 +3,10 @@
 
 Trains full / bow / blind / q_only / no_replication with a shared seed and
 prints the accuracy table (All / Y-N / Num / Other) on both splits. At desk
-scale every mode can memorize the aggregate training split; the single-block
-model's real handicap shows on the confusable pairs, which
-run_synthetic_pipeline.py prints one by one.
+scale every mode can memorize the aggregate training split except one
+question of each confusable pair, which run_synthetic_pipeline.py prints one
+by one: with the order-free question encoder no mode, the replicated full
+model included, can tell a pair's questions apart (see ROADMAP item 3).
 """
 
 import argparse

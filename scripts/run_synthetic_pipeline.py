@@ -3,7 +3,11 @@
 
 Builds the toy KB, trains translation embeddings on it, trains the full
 memory network, and prints the training curve, the held-out report, and a
-per-pair look at the confusable questions that motivate triple replication.
+per-pair look at the confusable questions. The two questions of a pair share
+their token multiset, visual feature and slots, and the question encoder is
+an order-free mean, so the full model's logits are bit-identical on both and
+it answers at most one of them: triple replication does not break this tie
+(see ROADMAP item 3).
 """
 
 import argparse

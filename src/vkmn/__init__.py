@@ -1,9 +1,8 @@
 """Key-value memory network VQA over a knowledge base of <s, r, t> triples."""
 
-from .kb import (EntrySet, KnowledgeGraph, Triple, build_graph,
-                 canonicalize_relation, extract_triples_from_qa,
-                 filter_by_frequency, lemmatize, lemmatize_phrase, load_kb,
-                 make_triple, save_kb)
+from .kb import (KnowledgeGraph, Triple, build_graph, canonicalize_relation,
+                 extract_triples_from_qa, filter_by_frequency, lemmatize,
+                 lemmatize_phrase, load_kb, make_triple, save_kb)
 from .embedding import (EmbeddingTable, TransEConfig, bow_embed, embed_entry,
                         load_embeddings, make_bow_table, mean_tail_rank,
                         rank_tail, save_embeddings, train_transe, transe_score)

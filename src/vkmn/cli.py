@@ -21,14 +21,15 @@ from .embedding import (EmbeddingTable, TransEConfig, load_embeddings,
                         make_bow_table, save_embeddings, train_transe)
 from .kb import (KnowledgeGraph, Triple, build_graph, canonicalize_relation,
                  dedup_triples, extract_triples_from_qa, filter_by_frequency,
-                 lemmatize, load_kb, load_qa_pairs, make_triple, save_kb)
+                 lemmatize, load_kb, load_qa_pairs, make_triple, read_question,
+                 save_kb)
 from .model import (MODES, ModelDims, ModelParams, forward, load_checkpoint,
                     predict, save_checkpoint, slot_features)
 from .spotting import (expand_neighborhood, match_entries, select_slots,
                        spot_question, spot_triples)
-from .training import (EvalReport, TrainConfig, evaluate, format_report_table,
+from .training import (TrainConfig, evaluate, format_report_table,
                        gradient_check, load_dataset, make_synthetic_task,
-                       save_dataset, train)
+                       read_feature, save_dataset, train)
 
 CLI_MODES = ("full", "bow", "blind", "q-only", "no-replication")
 GRADCHECK_TOL = 1e-4
@@ -143,10 +144,10 @@ def _iter_question_lines(path: Optional[str]):
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
-                    yield [str(t) for t in obj["question"]]
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
+                    question = read_question(json.loads(line))
+                except (KeyError, TypeError, ValueError) as e:
                     raise ValueError(f"{path}:{lineno}: malformed question ({e})") from e
+                yield question
     else:
         for line in sys.stdin:
             if not line.strip():
@@ -156,10 +157,9 @@ def _iter_question_lines(path: Optional[str]):
 
 def cmd_spot(args: argparse.Namespace) -> int:
     graph = load_kb(args.kb)
-    entry_set = graph.entry_set()
     for raw_tokens in _iter_question_lines(args.dataset):
         tokens = [lemmatize(t) for t in raw_tokens]
-        matched = match_entries(tokens, entry_set)
+        matched = match_entries(tokens, graph.entry_set())
         spotted = expand_neighborhood(spot_triples(matched, graph), graph)
         assignment = select_slots(spotted, graph, args.slots)
         print(json.dumps({
@@ -232,10 +232,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     mode = _internal_mode(args.mode)
     params = load_checkpoint(args.checkpoint)
     with open(args.feature, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    if not isinstance(raw, list):
-        raise ValueError(f"{args.feature}: expected a JSON array of reals")
-    u = np.array([float(v) for v in raw], dtype=np.float64)
+        try:
+            u = read_feature(json.load(f))
+        except ValueError as e:
+            raise ValueError(f"{args.feature}: {e}") from None
     if mode not in ("blind",) and u.shape != (params.dims.d,):
         raise ValueError(
             f"{args.feature}: feature length {u.shape[0]}, model wants {params.dims.d}")

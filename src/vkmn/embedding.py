@@ -49,7 +49,7 @@ class TransEHistory:
 
 @dataclass
 class EmbeddingTable:
-    """Phrase-to-vector store; `lookups` counts embed_entry calls.
+    """Phrase-to-vector store, immutable after construction.
 
     Construction copies the vectors into read-only matrices, one row per
     phrase in sorted-phrase order; `entity_vectors` and `relation_vectors`
@@ -61,7 +61,6 @@ class EmbeddingTable:
     entity_vectors: Dict[str, Array] = field(default_factory=dict)
     relation_vectors: Dict[str, Array] = field(default_factory=dict)
     kind: str = "transe"
-    lookups: int = field(default=0, compare=False)
     history: Optional[TransEHistory] = field(default=None, compare=False)
     entity_matrix: Array = field(init=False, repr=False, compare=False)
     entity_row: Dict[str, int] = field(init=False, repr=False, compare=False)
@@ -152,7 +151,6 @@ def embed_entry(entry: str, table: EmbeddingTable, is_relation: bool = False) ->
     token mean over entity_vectors, then to the zero vector. bow tables
     always take the token mean.
     """
-    table.lookups += 1
     if table.kind == "bow":
         return bow_embed(entry, table.entity_vectors, table.dim)
     vec = _lookup(table, entry, is_relation)
@@ -243,7 +241,7 @@ def make_bow_table(graph: KnowledgeGraph, dim: int, seed: int = 0) -> EmbeddingT
     Stand-in for pretrained word vectors when none are supplied; frozen like
     any other Phi source.
     """
-    tokens = sorted({tok for phrase in graph.entry_set().combined for tok in phrase.split()})
+    tokens = sorted({tok for phrase in graph.entry_set() for tok in phrase.split()})
     rng = np.random.default_rng(seed)
     vecs = rng.uniform(-0.5, 0.5, size=(len(tokens), dim))
     return EmbeddingTable(
@@ -377,6 +375,8 @@ def load_embeddings(path: str, graph: Optional[KnowledgeGraph] = None,
                 if not phrase:
                     raise ValueError("empty phrase")
                 vec = np.array(fields[1:], dtype=np.float64)
+                if not np.isfinite(vec).all():
+                    raise ValueError("non-finite value")
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
             if name in seen:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 # Irregular forms resolved before any suffix rule fires. Kept to forms that
 # actually show up in captions/questions about everyday scenes.
@@ -120,18 +120,6 @@ class Triple:
 def make_triple(subject: str, relation: str, target: str) -> Triple:
     """Triple constructor that normalizes all three fields."""
     return Triple(lemmatize_phrase(subject), lemmatize_phrase(relation), lemmatize_phrase(target))
-
-
-@dataclass(frozen=True)
-class EntrySet:
-    """All distinct entity and relation phrases of a graph; S = E u R."""
-
-    entities: frozenset
-    relations: frozenset
-    combined: frozenset = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "combined", self.entities | self.relations)
 
 
 # --- QA-pair template extraction -------------------------------------------
@@ -288,48 +276,38 @@ def filter_by_frequency(triples: Sequence[Triple], min_count: int = 3) -> List[T
 class KnowledgeGraph:
     """Deduplicated triple store indexed by phrase.
 
-    Triple ids are insertion order after dedup. Immutable after build;
-    triple_reads counts get_triple calls for the no-memory-mode isolation
-    check and is the only mutable state.
+    Triple ids are insertion order after dedup. Immutable after build.
     """
 
     def __init__(self, triples: Sequence[Triple]):
         self.triples: List[Triple] = dedup_triples(triples)
         phrases = [t.phrases() for t in self.triples]
         self.frequency: Counter = Counter(chain.from_iterable(phrases))
-        self.entry_index: Dict[str, Set[int]] = {}
-        self.entities: Set[str] = set()
-        self.relations: Set[str] = set()
-        self.triple_reads = 0
-        for tid, (subject, relation, target) in enumerate(phrases):
-            self.entities.add(subject)
-            self.entities.add(target)
-            self.relations.add(relation)
-            for phrase in (subject, relation, target):
-                ids = self.entry_index.get(phrase)
-                if ids is None:
-                    self.entry_index[phrase] = {tid}
-                else:
-                    ids.add(tid)
+        index = defaultdict(set)
+        for tid, triple_phrases in enumerate(phrases):
+            for phrase in triple_phrases:
+                index[phrase].add(tid)
+        # a plain dict, so that reading an unknown phrase cannot add it
+        self.entry_index: Dict[str, Set[int]] = dict(index)
+        self.entities: Set[str] = {p for s, _, t in phrases for p in (s, t)}
+        self.relations: Set[str] = {r for _, r, _ in phrases}
         freq = self.frequency
         # packed, 8 bytes a triple rather than a list of int objects
         self.frequency_sums = array("q", [freq[s] + freq[r] + freq[t] for s, r, t in phrases])
-        self._entry_set = EntrySet(frozenset(self.entities), frozenset(self.relations))
+        self._entry_set = frozenset(self.entry_index)
 
     def __len__(self) -> int:
         return len(self.triples)
 
-    def get_triple(self, tid: int) -> Triple:
-        self.triple_reads += 1
-        return self.triples[tid]
-
-    def entry_set(self) -> EntrySet:
+    def entry_set(self) -> FrozenSet[str]:
+        """S = E u R, every phrase of the graph: the keys of entry_index."""
         return self._entry_set
 
-    def neighbors(self, tid: int) -> Set[int]:
-        """Ids of the other triples that share at least one phrase with tid."""
-        out = set().union(*(self.entry_index[p] for p in self.triples[tid].phrases()))
-        out.discard(tid)
+    def neighbors(self, *tids: int) -> Set[int]:
+        """Ids of the triples outside tids that share a phrase with one of them."""
+        phrases = {p for tid in tids for p in self.triples[tid].phrases()}
+        out = set().union(*(self.entry_index[p] for p in phrases))
+        out.difference_update(tids)
         return out
 
     def frequency_sum(self, tid: int) -> int:
@@ -359,8 +337,30 @@ def load_kb(path: str) -> KnowledgeGraph:
             fields = line.split("\t")
             if len(fields) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            triples.append(Triple(*fields))
+            try:
+                triples.append(Triple(*fields))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     return build_graph(triples)
+
+
+def read_question(record) -> List[str]:
+    """The `question` of one JSONL record: a non-empty array of strings."""
+    if not isinstance(record, dict):
+        raise ValueError("expected a JSON object")
+    question = record["question"]
+    if not (isinstance(question, list) and question
+            and all(isinstance(t, str) for t in question)):
+        raise ValueError("question must be a non-empty array of strings")
+    return question
+
+
+def read_answer(record) -> str:
+    """The `answer` of one JSONL record: a non-empty string, or a number."""
+    answer = record["answer"]
+    if isinstance(answer, bool) or not isinstance(answer, (str, int, float)) or answer == "":
+        raise ValueError("answer must be a non-empty string or a number")
+    return str(answer)
 
 
 def load_qa_pairs(path: str) -> List[Tuple[List[str], str]]:
@@ -373,7 +373,7 @@ def load_qa_pairs(path: str) -> List[Tuple[List[str], str]]:
                 continue
             try:
                 obj = json.loads(line)
-                pairs.append((list(obj["question"]), str(obj["answer"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                pairs.append((read_question(obj), read_answer(obj)))
+            except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: malformed QA record ({e})") from e
     return pairs

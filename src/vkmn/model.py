@@ -139,7 +139,7 @@ def slot_features(slots: SlotAssignment, table: EmbeddingTable,
     for i, tid in enumerate(slots.slots):
         if tid is None:
             continue
-        triple = graph.get_triple(tid)
+        triple = graph.triples[tid]
         subj[i] = embed_entry(triple.subject, table)
         rel[i] = embed_entry(triple.relation, table, is_relation=True)
         targ[i] = embed_entry(triple.target, table)

@@ -9,10 +9,12 @@ memory slots.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set
 
-from .kb import EntrySet, KnowledgeGraph
+from .kb import KnowledgeGraph
 
 MAX_NGRAM = 4  # longest multi-word KB entry we scan for
 
@@ -47,37 +49,36 @@ class SlotAssignment:
         return sum(self.mask)
 
 
-def match_entries(question_tokens: Sequence[str], entry_set: EntrySet) -> Set[str]:
+def match_entries(question_tokens: Sequence[str], entries: AbstractSet[str]) -> Set[str]:
     """Greedy longest-match scan of the token stream against S = E u R.
 
     At each position the longest n-gram (n <= MAX_NGRAM) present in S wins
     and the cursor jumps past it, so "sit on top" beats "on".
     """
-    entries = entry_set.combined
     matched: Set[str] = set()
     i = 0
     n_tokens = len(question_tokens)
     while i < n_tokens:
-        hit = None
         for n in range(min(MAX_NGRAM, n_tokens - i), 0, -1):
             phrase = " ".join(question_tokens[i:i + n])
             if phrase in entries:
-                hit = (phrase, n)
+                matched.add(phrase)
                 break
-        if hit is not None:
-            matched.add(hit[0])
-            i += hit[1]
         else:
-            i += 1
+            n = 1
+        i += n
     return matched
+
+
+def _coverage(matched: Set[str], graph: KnowledgeGraph) -> Counter:
+    """Triple id -> how many distinct matched entries its fields contain."""
+    index = graph.entry_index
+    return Counter(chain.from_iterable(index.get(p, ()) for p in matched))
 
 
 def spot_triples(matched: Set[str], graph: KnowledgeGraph) -> SpottedSet:
     """Core retrieval: triples whose fields cover >= 2 distinct matched entries."""
-    counts: Dict[int, int] = {}
-    for phrase in matched:
-        for tid in graph.entry_index.get(phrase, ()):
-            counts[tid] = counts.get(tid, 0) + 1
+    counts = _coverage(matched, graph)
     core = sorted(tid for tid, c in counts.items() if c >= 2)
     return SpottedSet(
         matched_entries=set(matched),
@@ -93,23 +94,11 @@ def expand_neighborhood(spotted: SpottedSet, graph: KnowledgeGraph) -> SpottedSe
     Neighbor match_count is its own matched-entry coverage (0 or 1; two or
     more would have put it in the core already).
     """
-    core_set = set(spotted.core)
-    neighbors: Set[int] = set()
-    for tid in spotted.core:
-        neighbors |= graph.neighbors(tid)
-    neighbors -= core_set
-    expanded = list(spotted.core) + sorted(neighbors)
+    neighbors = sorted(graph.neighbors(*spotted.core))
+    counts = _coverage(spotted.matched_entries, graph)
     match_count = dict(spotted.match_count)
-    for tid in sorted(neighbors):
-        match_count[tid] = sum(
-            1 for p in spotted.matched_entries if tid in graph.entry_index.get(p, ())
-        )
-    return SpottedSet(
-        matched_entries=set(spotted.matched_entries),
-        core=list(spotted.core),
-        expanded=expanded,
-        match_count=match_count,
-    )
+    match_count.update((tid, counts[tid]) for tid in neighbors)
+    return replace(spotted, expanded=spotted.core + neighbors, match_count=match_count)
 
 
 def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -> SlotAssignment:

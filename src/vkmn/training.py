@@ -10,6 +10,7 @@ recombine exactly to the overall number.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -17,7 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .embedding import EmbeddingTable
-from .kb import KnowledgeGraph, Triple, build_graph, lemmatize
+from .kb import (KnowledgeGraph, Triple, build_graph, lemmatize, read_answer,
+                 read_question)
 from .kernel import Array, finite_diff_grad, max_relative_error, sgd_step
 from .model import (MODES, ModelDims, ModelParams, SlotFeatures, backward,
                     forward, init_params, predict, slot_features)
@@ -231,12 +233,12 @@ def gradient_check(config: TrainConfig, seed: int = 0) -> float:
                Triple("beta", "above", "gamma"),
                Triple("gamma", "near", "alpha")]
     graph = build_graph(triples)
+    vocab = sorted({tok for e in graph.entry_set() for tok in e.split()})
 
     if config.mode == "bow":
-        tokens = sorted({tok for e in graph.entry_set().combined for tok in e.split()})
         table = EmbeddingTable(
             dim=dims.d_e,
-            entity_vectors={t: rng.standard_normal(dims.d_e) for t in tokens},
+            entity_vectors={t: rng.standard_normal(dims.d_e) for t in vocab},
             kind="bow")
     else:
         table = EmbeddingTable(
@@ -252,7 +254,6 @@ def gradient_check(config: TrainConfig, seed: int = 0) -> float:
     slots = SlotAssignment(slots=slot_ids, mask=[s is not None for s in slot_ids])
     features = None if config.mode == "q_only" else slot_features(slots, table, graph)
 
-    vocab = sorted({tok for e in graph.entry_set().combined for tok in e.split()})
     answers = [f"ans{i}" for i in range(dims.k_answers)]
     params = init_params(vocab, answers, dims, seed=seed)
     question = ["alpha", "near", "oov", "beta"]
@@ -374,10 +375,22 @@ def make_synthetic_task(seed: int = 7, n_entities: int = 20, n_relations: int = 
 
 # --- dataset files ----------------------------------------------------------------
 
+def read_feature(values) -> Array:
+    """A visual feature: a JSON array of finite numbers."""
+    if not isinstance(values, list):
+        raise ValueError("feature must be an array of numbers")
+    for i, v in enumerate(values):
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        # exact for ints too: 10**400 fails it as inf and nan do
+        if not (number and abs(v) <= sys.float_info.max):
+            raise ValueError(f"feature holds a non-finite or non-numeric value {v!r} at index {i}")
+    return np.array(values, dtype=np.float64)
+
+
 def load_dataset(path: str) -> List[VqaExample]:
-    """JSONL: {"question": [tokens], "feature": [finite reals], "answer": str,
-    optional "answer_type"}. Question tokens are lowercased and lemmatized
-    on the way in, answers lowercased."""
+    """JSONL: {"question": [token strings, at least one], "feature": [finite
+    numbers], "answer": string or number, optional "answer_type"}. Question
+    tokens are lowercased and lemmatized on the way in, answers lowercased."""
     examples = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -386,17 +399,13 @@ def load_dataset(path: str) -> List[VqaExample]:
                 continue
             try:
                 obj = json.loads(line)
-                tokens = [lemmatize(str(t)) for t in obj["question"]]
-                feature = np.array([float(v) for v in obj["feature"]], dtype=np.float64)
-                if not np.isfinite(feature).all():
-                    raise ValueError("feature has a non-finite value")
                 examples.append(VqaExample(
-                    question_tokens=tokens,
-                    visual_feature=feature,
-                    answer=str(obj["answer"]).lower(),
+                    question_tokens=[lemmatize(t) for t in read_question(obj)],
+                    visual_feature=read_feature(obj["feature"]),
+                    answer=read_answer(obj).lower(),
                     answer_type=str(obj.get("answer_type", "")),
                 ))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: malformed example ({e})") from e
     return examples
 

@@ -109,6 +109,17 @@ def test_spot_dataset_jsonl(tmp_path, capsys):
     assert len(row["slots"]) == 4
 
 
+def test_spot_dataset_rejects_string_question(tmp_path, capsys):
+    kb = _kb_file(tmp_path)
+    ds = tmp_path / "qs.jsonl"
+    ds.write_text(json.dumps({"question": ["dog", "eat"]}) + "\n"
+                  + json.dumps({"question": "what do dog eat"}) + "\n")
+    rc = main(["spot", "--kb", str(kb), "--dataset", str(ds)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "qs.jsonl:2" in err and "array of strings" in err
+
+
 def test_spot_reads_stdin(tmp_path, capsys, monkeypatch):
     kb = _kb_file(tmp_path)
     monkeypatch.setattr("sys.stdin", io.StringIO("what do dogs eat\n\n"))
@@ -268,6 +279,25 @@ def test_query_rejects_wrong_feature_length(tmp_path, capsys):
                "--mode", "q-only"])
     assert rc == 1
     assert "feature length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "-Infinity", '"1"'])
+def test_query_rejects_bad_feature_file(tmp_path, capsys, monkeypatch, bad):
+    synth = _synth(tmp_path)
+    ckpt = tmp_path / "model.bin"
+    main(["train", "--dataset", str(synth / "train.jsonl"),
+          "--checkpoint", str(ckpt), "--mode", "q-only",
+          "--knowledge-dim", "4", "--word-dim", "4", "--epochs", "1"])
+    capsys.readouterr()
+    feature = tmp_path / "feat.json"
+    feature.write_text("[" + "0.0, " * 7 + bad + "]")  # the model's length, 8
+    monkeypatch.setattr("sys.stdin", io.StringIO("what do obj0 rel0\n\n"))
+    rc = main(["query", "--checkpoint", str(ckpt), "--feature", str(feature),
+               "--mode", "q-only"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "answer:" not in captured.out
+    assert "error:" in captured.err and "feat.json" in captured.err
 
 
 # ---------------------------------------------------------------- gradcheck / ablate

@@ -139,14 +139,6 @@ def test_embed_entry_totally_unknown_is_zero():
     assert np.array_equal(embed_entry("zz qq", _dyadic_table()), np.zeros(4))
 
 
-def test_embed_entry_counts_lookups():
-    table = _dyadic_table()
-    assert table.lookups == 0
-    embed_entry("s", table)
-    embed_entry("nope", table)
-    assert table.lookups == 2
-
-
 def test_table_rejects_bad_kind_and_shape():
     with pytest.raises(ValueError):
         EmbeddingTable(dim=2, kind="word2vec")
@@ -432,6 +424,9 @@ def test_load_embeddings_reads_files_without_escapes(tmp_path):
     ("a 1 2\na 3 4\n", "vec.txt:3"),
     ("a 1 x\n", "vec.txt:2"),
     ("\\rel: 1 2\n", "vec.txt:2"),
+    ("a nan 2\n", "vec.txt:2: non-finite"),
+    ("a 1 2\nb 1 inf\n", "vec.txt:3: non-finite"),
+    ("a -Infinity 2\n", "vec.txt:2: non-finite"),
 ])
 def test_load_embeddings_rejects_bad_rows_with_location(tmp_path, body, where):
     path = tmp_path / "vec.txt"

@@ -1,6 +1,7 @@
 """Triple store: lemmatizer, extraction templates, canonicalization, graph."""
 
 import collections
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from vkmn.kb import (
     lemmatize,
     lemmatize_phrase,
     load_kb,
+    load_qa_pairs,
     make_triple,
     save_kb,
 )
@@ -246,14 +248,6 @@ def test_graph_deduplicates_on_construction():
     assert len(g.triples) == 1
 
 
-def test_graph_read_counter():
-    g = build_graph([_t("a", "b", "c")])
-    assert g.triple_reads == 0
-    g.get_triple(0)
-    g.get_triple(0)
-    assert g.triple_reads == 2
-
-
 @given(
     st.lists(
         st.tuples(
@@ -275,6 +269,24 @@ def test_graph_rebuild_is_identical(raw):
     assert all(g1.neighbors(tid) == g2.neighbors(tid) for tid in range(len(g1)))
 
 
+# every field drawn from one pool: self-loops such as <a, r, a> and phrases
+# that are both entity and relation occur
+mixed_triples = st.lists(st.tuples(*[st.sampled_from(["a", "b", "c", "r"])] * 3),
+                         min_size=1, max_size=12)
+
+
+@given(mixed_triples, st.data())
+@settings(max_examples=200, deadline=None)
+def test_neighbors_of_several_is_union_of_each(raw, data):
+    g = build_graph([_t(*p) for p in raw])
+    phrases = [set(t.phrases()) for t in g.triples]
+    for tid in range(len(g)):
+        assert g.neighbors(tid) == {u for u in range(len(g))
+                                    if u != tid and phrases[u] & phrases[tid]}
+    tids = data.draw(st.lists(st.integers(0, len(g) - 1), max_size=6))  # repeats, or none
+    assert g.neighbors(*tids) == set().union(*(g.neighbors(t) for t in tids)) - set(tids)
+
+
 # ---------------------------------------------------------------- persistence
 
 def test_kb_round_trip(tmp_path):
@@ -292,6 +304,37 @@ def test_load_kb_reports_line_number(tmp_path):
     path.write_text("dog\teat\tbone\nbroken line\n")
     with pytest.raises(ValueError, match="2"):
         load_kb(path)
+
+
+def test_load_kb_empty_field_names_line(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text("dog\teat\tbone\ndog\t\tbone\n")
+    with pytest.raises(ValueError, match=r"kb\.tsv:2: triple relation must be non-empty"):
+        load_kb(path)
+
+
+@pytest.mark.parametrize("record, why", [
+    ({"question": "what do dog eat", "answer": "bone"}, "question must be"),
+    ({"question": [], "answer": "bone"}, "question must be"),
+    ({"question": ["what", 3], "answer": "bone"}, "question must be"),
+    ({"question": ["what"], "answer": None}, "answer must be"),
+    ({"question": ["what"], "answer": ""}, "answer must be"),
+    ({"question": ["what"], "answer": ["bone"]}, "answer must be"),
+    ({"question": ["what"], "answer": True}, "answer must be"),
+    (["what", "bone"], "JSON object"),
+])
+def test_load_qa_pairs_rejects_malformed_fields(tmp_path, record, why):
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"question": ["what", "do", "dog", "eat"], "answer": 4}\n'
+                    + json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=rf"qa\.jsonl:2: .*{why}"):
+        load_qa_pairs(path)
+
+
+def test_load_qa_pairs_reads_numbers_as_answers(tmp_path):
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"question": ["how", "many", "dog"], "answer": 4}\n')
+    assert load_qa_pairs(path) == [(["how", "many", "dog"], "4")]
 
 
 def test_load_kb_empty_file(tmp_path):

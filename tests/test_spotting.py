@@ -59,7 +59,7 @@ def test_match_entries_no_tokens():
 @settings(max_examples=100, deadline=None)
 def test_match_entries_subset_of_entry_set(tokens):
     g = _graph()
-    entries = g.entry_set().combined
+    entries = g.entry_set()
     assert match_entries(tokens, g.entry_set()) <= entries
 
 
@@ -238,3 +238,15 @@ def test_spot_question_shape_and_determinism(raw, tokens, m):
     assert sa1.slots == sa2.slots and sa1.mask == sa2.mask
     real = [s for s in sa1.slots if s is not None]
     assert len(real) == len(set(real))
+
+
+@given(st.lists(st.tuples(*[st.sampled_from(["a", "b", "c", "r"])] * 3), min_size=1, max_size=12),
+       st.sets(st.sampled_from(["a", "b", "c", "r", "zzz"]), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_expanded_match_count_is_matched_coverage(raw, matched):
+    # every field drawn from one pool: self-loops and dual-role phrases occur
+    g = build_graph([Triple(*p) for p in raw])
+    out = expand_neighborhood(spot_triples(matched, g), g)
+    assert set(out.match_count) == set(out.expanded)
+    for tid in out.expanded:
+        assert out.match_count[tid] == len(matched & set(g.triples[tid].phrases()))

@@ -319,6 +319,35 @@ def test_load_dataset_rejects_non_finite_features(tmp_path, bad):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("fields, why", [
+    ({"question": "what do dog eat"}, "question must be"),
+    ({"question": []}, "question must be"),
+    ({"question": ["what", None]}, "question must be"),
+    ({"feature": "12"}, "feature must be"),
+    ({"feature": [1.0, "2"]}, "non-numeric value '2' at index 1"),
+    ({"feature": [1.0, True]}, "non-numeric value True at index 1"),
+    ({"feature": [10 ** 400]}, "non-finite"),
+    ({"answer": None}, "answer must be"),
+    ({"answer": {"a": 1}}, "answer must be"),
+    ({"answer": False}, "answer must be"),
+])
+def test_load_dataset_rejects_malformed_fields(tmp_path, fields, why):
+    good = {"question": ["what", "do", "dog", "eat"], "feature": [1.0, 2.0],
+            "answer": "bone"}
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **fields}) + "\n")
+    with pytest.raises(ValueError, match=rf"data\.jsonl:2: .*{why}"):
+        load_dataset(path)
+
+
+def test_load_dataset_reads_number_answers(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"question": ["how", "many"], "feature": [1, 2.5], "answer": 3}\n')
+    ex = load_dataset(path)[0]
+    assert ex.answer == "3" and ex.answer_type == "number"
+    assert ex.visual_feature.tolist() == [1.0, 2.5]
+
+
 @given(st.lists(st.sampled_from(["yes", "no", "4", "seven", "cat", "dog"]),
                 min_size=1, max_size=20))
 @settings(max_examples=100, deadline=None)
