@@ -258,14 +258,13 @@ def cmd_query(args: argparse.Namespace) -> int:
         if not trace.blocks:
             print("no supporting facts")
             continue
-        for blk in trace.blocks:
-            print(f"block {blk.kind}:")
-            order = np.argsort(-blk.p)[:5]
-            for slot in order:
+        for name, p in zip(trace.blocks, trace.p):
+            print(f"block {name}:")
+            for slot in np.argsort(-p)[:5]:
                 if not assignment.mask[slot]:
                     continue
                 triple = graph.triples[assignment.slots[slot]]
-                print(f"  {blk.p[slot]:.4f}  {triple}")
+                print(f"  {p[slot]:.4f}  {triple}")
     return 0
 
 

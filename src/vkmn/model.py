@@ -3,19 +3,27 @@
 Pipeline: mean-of-words question encoding t, query q = t * u against the
 visual feature, three replicated memory blocks keyed by (s,r), (s,t), (r,t)
 with the remaining element as value, softmax key addressing, weighted value
-reading, one-step query update q' = q + o, linear answer classifier.
-Backward is hand-derived and exact; the knowledge embedding Phi stays
-frozen throughout.
+reading, one-step query update q' = q + o_sr + o_st + o_rt, linear answer
+classifier. Backward is hand-derived and exact; the knowledge embedding Phi
+stays frozen throughout.
+
+The memory is one stacked core: Phi holds the slots' roles as one
+(3, M, d_e) array (subject, relation, target), two constant block-by-role
+incidence tables build every block's keys and values from it, and the
+blocks' bilinear maps are one (3, d, d_j) stack "A" in BLOCKS order. A mode
+runs its n blocks in one batched pass, so each gradient is taken once.
 
 Ablation modes: full, bow (bag-of-words Phi), blind (visual feature
 replaced by the question encoding everywhere), q_only (memory skipped),
-no_replication (single (s,r)-keyed block).
+no_replication (n = 1: only the (s,r)-keyed block, row 0 of the stack).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,13 +35,12 @@ from .kernel import (Array, cross_entropy_loss, hadamard, masked_softmax,
 from .spotting import SlotAssignment
 
 MODES = ("full", "bow", "blind", "q_only", "no_replication")
-# block name -> (key part 1, key part 2, value part) over (subject, relation, target)
-BLOCK_LAYOUT = {
-    "sr": ("subject", "relation", "target"),
-    "st": ("subject", "target", "relation"),
-    "rt": ("relation", "target", "subject"),
-}
-MATRIX_ORDER = ("word_table", "W_t", "W_e", "W_u", "A_sr", "A_st", "A_rt", "W_o")
+BLOCKS = ("sr", "st", "rt")
+# block x role incidence over the roles (subject, relation, target): a block's
+# key is the sum of its two key roles, its value the remaining role
+KEY_ROLES = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+VALUE_ROLE = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+MATRIX_ORDER = ("word_table", "W_t", "W_e", "W_u", "A", "W_o")
 CHECKPOINT_MAGIC = b"VKMN0001"
 
 
@@ -52,15 +59,13 @@ class ModelDims:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def _matrix_shapes(dims: ModelDims, vocab_size: int) -> Dict[str, Tuple[int, int]]:
+def _matrix_shapes(dims: ModelDims, vocab_size: int) -> Dict[str, Tuple[int, ...]]:
     return {
         "word_table": (vocab_size, dims.d_w),
         "W_t": (dims.d, dims.d_w),
         "W_e": (dims.d_j, dims.d_e),
         "W_u": (dims.d_j, dims.d),
-        "A_sr": (dims.d, dims.d_j),
-        "A_st": (dims.d, dims.d_j),
-        "A_rt": (dims.d, dims.d_j),
+        "A": (len(BLOCKS), dims.d, dims.d_j),
         "W_o": (dims.k_answers, dims.d),
     }
 
@@ -87,12 +92,12 @@ class ModelParams:
 
 def init_params(vocab: Sequence[str], answer_vocab: Sequence[str],
                 dims: ModelDims, seed: int = 0) -> ModelParams:
-    """Uniform +-sqrt(6/(rows+cols)) init, drawn in MATRIX_ORDER so a fixed
-    seed pins every matrix."""
+    """Uniform +-sqrt(6/(rows+cols)) init over each matrix's last two dims,
+    drawn in MATRIX_ORDER so a fixed seed pins every matrix."""
     rng = np.random.default_rng(seed)
     matrices = {}
     for name, shape in _matrix_shapes(dims, len(vocab)).items():
-        bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+        bound = np.sqrt(6.0 / (shape[-2] + shape[-1]))
         matrices[name] = rng.uniform(-bound, bound, size=shape)
     return ModelParams(dims=dims, vocab=list(vocab),
                        answer_vocab=list(answer_vocab), matrices=matrices)
@@ -122,53 +127,31 @@ def predict(q_prime: Array, W_o: Array) -> Tuple[int, Array]:
 
 @dataclass
 class SlotFeatures:
-    """Frozen Phi vectors for the selected slots, one row per slot."""
+    """Frozen Phi vectors for the selected slots: phi[r, i] is slot i's
+    subject, relation or target phrase for r = 0, 1, 2."""
 
-    subject: Array   # (M, d_e)
-    relation: Array  # (M, d_e)
-    target: Array    # (M, d_e)
-    mask: Array      # (M,) bool
+    phi: Array   # (3, M, d_e)
+    mask: Array  # (M,) bool
 
 
 def slot_features(slots: SlotAssignment, table: EmbeddingTable,
                   graph: KnowledgeGraph) -> SlotFeatures:
-    m = len(slots.slots)
-    subj = np.zeros((m, table.dim))
-    rel = np.zeros((m, table.dim))
-    targ = np.zeros((m, table.dim))
+    phi = np.zeros((3, len(slots.slots), table.dim))
     for i, tid in enumerate(slots.slots):
         if tid is None:
             continue
-        triple = graph.triples[tid]
-        subj[i] = embed_entry(triple.subject, table)
-        rel[i] = embed_entry(triple.relation, table, is_relation=True)
-        targ[i] = embed_entry(triple.target, table)
-    return SlotFeatures(subject=subj, relation=rel, target=targ,
-                        mask=np.array(slots.mask, dtype=bool))
-
-
-@dataclass
-class BlockTrace:
-    kind: str
-    param: str
-    F1: Array
-    F2: Array
-    F3: Array
-    He1: Array
-    He2: Array
-    He3: Array
-    G: Array
-    K: Array
-    V: Array
-    a: Array
-    z: Array
-    p: Array
-    w: Array
-    o: Array
+        subject, relation, target = graph.triples[tid].phrases()
+        phi[:, i] = (embed_entry(subject, table),
+                     embed_entry(relation, table, is_relation=True),
+                     embed_entry(target, table))
+    return SlotFeatures(phi=phi, mask=np.array(slots.mask, dtype=bool))
 
 
 @dataclass
 class ForwardTrace:
+    """Every intermediate of one forward pass. The memory fields hold one row
+    per block in `blocks`, or are None when the memory does not run."""
+
     mode: str
     known_ids: List[int]
     n_tokens: int
@@ -176,11 +159,19 @@ class ForwardTrace:
     t: Array
     u_eff: Array
     q: Array
-    h_u: Optional[Array]
-    blocks: List[BlockTrace]
     q_prime: Array
     logits: Array
     loss: Optional[float]
+    blocks: Tuple[str, ...] = ()
+    h_u: Optional[Array] = None   # (d_j,)
+    phi: Optional[Array] = None   # (3, M, d_e) frozen role embeddings
+    He: Optional[Array] = None    # (3, M, d_j) tanh(W_e phi)
+    K: Optional[Array] = None     # (n, M, d_j) keys
+    V: Optional[Array] = None     # (n, M, d_j) values
+    a: Optional[Array] = None     # (n, d_j) A^T q
+    p: Optional[Array] = None     # (n, M) attention
+    w: Optional[Array] = None     # (n, d_j) V^T p
+    o: Optional[Array] = None     # (n, d) A w
 
 
 def forward(tokens: Sequence[str], visual_feature: Array, params: ModelParams,
@@ -205,82 +196,66 @@ def forward(tokens: Sequence[str], visual_feature: Array, params: ModelParams,
         u_eff = u
         q = hadamard(t, u)
 
-    blocks: List[BlockTrace] = []
-    h_u = None
-    use_memory = (mode != "q_only" and features is not None and bool(features.mask.any()))
-    if use_memory:
-        h_u = tanh_map(params.matrices["W_u"] @ u_eff)
-        He = {role: tanh_map(getattr(features, role) @ params.matrices["W_e"].T)
-              for role in ("subject", "relation", "target")}
-        kinds = ("sr",) if mode == "no_replication" else ("sr", "st", "rt")
-        for kind in kinds:
-            k1, k2, val = BLOCK_LAYOUT[kind]
-            A = params.matrices[f"A_{kind}"]
-            G = He[k1] + He[k2]
-            K = G * h_u
-            V = He[val] * h_u
-            a = A.T @ q
-            z = K @ a
-            p = masked_softmax(z, features.mask)
-            w = V.T @ p
-            o = A @ w
-            blocks.append(BlockTrace(kind=kind, param=f"A_{kind}",
-                                     F1=getattr(features, k1),
-                                     F2=getattr(features, k2),
-                                     F3=getattr(features, val),
-                                     He1=He[k1], He2=He[k2], He3=He[val],
-                                     G=G, K=K, V=V, a=a, z=z, p=p, w=w, o=o))
-
+    memory = {}
     q_prime = q
-    for blk in blocks:
-        q_prime = q_prime + blk.o
+    if mode != "q_only" and features is not None and bool(features.mask.any()):
+        n = 1 if mode == "no_replication" else len(BLOCKS)
+        A = params.matrices["A"][:n]
+        h_u = tanh_map(params.matrices["W_u"] @ u_eff)
+        He = tanh_map(features.phi @ params.matrices["W_e"].T)
+        K = np.tensordot(KEY_ROLES[:n], He, axes=1) * h_u
+        V = np.tensordot(VALUE_ROLE[:n], He, axes=1) * h_u
+        a = q @ A
+        p = masked_softmax((K @ a[..., None])[..., 0], features.mask)
+        w = (p[:, None, :] @ V)[:, 0]
+        o = (A @ w[..., None])[..., 0]
+        q_prime = reduce(np.add, o, q)  # block by block, in BLOCKS order
+        memory = dict(blocks=BLOCKS[:n], h_u=h_u, phi=features.phi, He=He,
+                      K=K, V=V, a=a, p=p, w=w, o=o)
+
     logits = params.matrices["W_o"] @ q_prime
     loss = cross_entropy_loss(logits, label) if label is not None else None
     return ForwardTrace(mode=mode, known_ids=known_ids, n_tokens=n_tokens,
-                        m_bar=m_bar, t=t, u_eff=u_eff, q=q, h_u=h_u,
-                        blocks=blocks, q_prime=q_prime, logits=logits, loss=loss)
+                        m_bar=m_bar, t=t, u_eff=u_eff, q=q, q_prime=q_prime,
+                        logits=logits, loss=loss, **memory)
 
 
 def backward(trace: ForwardTrace, label: int, params: ModelParams) -> Dict[str, Array]:
     """Exact gradients of the cross-entropy loss for every trainable matrix.
 
-    Phi rows (F1..F3) are constants. Matrices a mode never touches come back
-    as exact zeros.
+    Phi is a constant. Matrices a mode never touches, and the rows of A
+    past the blocks it runs, come back as exact zeros.
     """
     grads = {name: np.zeros_like(mat) for name, mat in params.matrices.items()}
-    probs = softmax(trace.logits)
-    dlogits = probs.copy()
+    dlogits = softmax(trace.logits)
     dlogits[label] -= 1.0
     grads["W_o"] += np.outer(dlogits, trace.q_prime)
     dq_prime = params.matrices["W_o"].T @ dlogits
 
     dq = dq_prime.copy()
-    dh_u = np.zeros_like(trace.h_u) if trace.h_u is not None else None
-    for blk in trace.blocks:
-        A = params.matrices[blk.param]
-        do = dq_prime
-        # reading path: o = A (V^T p)
-        dw = A.T @ do
-        grads[blk.param] += np.outer(do, blk.w)
-        dp = blk.V @ dw
-        dV = np.outer(blk.p, dw)
-        # addressing path: p = softmax(z), z = K (A^T q); masked rows have
-        # p_i = 0 so their dz vanishes identically
-        dz = blk.p * (dp - float(blk.p @ dp))
-        da = blk.K.T @ dz
-        dK = np.outer(dz, blk.a)
-        grads[blk.param] += np.outer(trace.q, da)
-        dq += A @ da
-        # key/value construction: K = (He1+He2) h_u, V = He3 h_u
-        dG = dK * trace.h_u
-        dHe3 = dV * trace.h_u
-        dh_u += (dK * blk.G).sum(axis=0) + (dV * blk.He3).sum(axis=0)
-        for He, F, dHe in ((blk.He1, blk.F1, dG), (blk.He2, blk.F2, dG),
-                           (blk.He3, blk.F3, dHe3)):
-            grads["W_e"] += (dHe * (1.0 - He * He)).T @ F
-
     du_eff = None
-    if dh_u is not None:
+    if trace.blocks:
+        n = len(trace.blocks)
+        A = params.matrices["A"][:n]
+        # reading path: o = A (V^T p), and every block's o adds into q'
+        dw = dq_prime @ A
+        dp = (trace.V @ dw[..., None])[..., 0]
+        dV = trace.p[..., None] * dw[:, None, :]
+        # addressing path: p = softmax(z), z = K (A^T q); masked slots have
+        # p_i = 0 so their dz vanishes identically
+        dz = trace.p * (dp - (trace.p * dp).sum(axis=1, keepdims=True))
+        da = (dz[:, None, :] @ trace.K)[:, 0]
+        dK = dz[..., None] * trace.a[:, None, :]
+        grads["A"][:n] = (dq_prime[:, None] * trace.w[:, None, :]
+                          + trace.q[:, None] * da[:, None, :])
+        dq += (A @ da[..., None])[..., 0].sum(axis=0)
+        # K = KEY_ROLES Psi, V = VALUE_ROLE Psi with Psi = He h_u per role:
+        # sum each role's gradient over the blocks that read it
+        dPsi = (np.tensordot(KEY_ROLES[:n].T, dK, axes=1)
+                + np.tensordot(VALUE_ROLE[:n].T, dV, axes=1))
+        dh_u = (dPsi * trace.He).sum(axis=(0, 1))
+        dpre = dPsi * trace.h_u * (1.0 - trace.He * trace.He)
+        grads["W_e"] += np.tensordot(dpre, trace.phi, axes=([0, 1], [0, 1]))
         da_u = dh_u * (1.0 - trace.h_u * trace.h_u)
         grads["W_u"] += np.outer(da_u, trace.u_eff)
         du_eff = params.matrices["W_u"].T @ da_u
@@ -335,8 +310,7 @@ def load_checkpoint(path: str) -> ModelParams:
     dims = ModelDims(d=d, d_j=d_j, d_e=d_e, d_w=d_w, m_slots=m_slots, k_answers=k_answers)
     matrices = {}
     for name, shape in _matrix_shapes(dims, vocab_size).items():
-        n = shape[0] * shape[1]
-        end = off + 8 * n
+        end = off + 8 * math.prod(shape)
         if end > len(data):
             raise ValueError(f"{path}: truncated matrix section at {name}")
         matrices[name] = np.frombuffer(data[off:end], dtype="<f8").reshape(shape).copy()

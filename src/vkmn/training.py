@@ -389,8 +389,9 @@ def read_feature(values) -> Array:
 
 def load_dataset(path: str) -> List[VqaExample]:
     """JSONL: {"question": [token strings, at least one], "feature": [finite
-    numbers], "answer": string or number, optional "answer_type"}. Question
-    tokens are lowercased and lemmatized on the way in, answers lowercased."""
+    numbers, as many in every record], "answer": string or number, optional
+    "answer_type"}. Question tokens are lowercased and lemmatized on the way
+    in, answers lowercased."""
     examples = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -399,9 +400,13 @@ def load_dataset(path: str) -> List[VqaExample]:
                 continue
             try:
                 obj = json.loads(line)
+                feature = read_feature(obj["feature"])
+                if examples and len(feature) != len(examples[0].visual_feature):
+                    raise ValueError(f"feature length {len(feature)}, the first "
+                                     f"record's is {len(examples[0].visual_feature)}")
                 examples.append(VqaExample(
                     question_tokens=[lemmatize(t) for t in read_question(obj)],
-                    visual_feature=read_feature(obj["feature"]),
+                    visual_feature=feature,
                     answer=read_answer(obj).lower(),
                     answer_type=str(obj.get("answer_type", "")),
                 ))

@@ -119,9 +119,9 @@ def test_addressing_and_reading_algebra():
         onehot = np.zeros(dims.m_slots)
         onehot[j] = 1.0
         ok &= len(tr.blocks) == 3
-        for blk in tr.blocks:
-            ok &= np.array_equal(blk.p, onehot)
-            ok &= blk.o.tobytes() == (params.matrices[blk.param] @ blk.V[j]).tobytes()
+        for b in range(len(tr.blocks)):
+            ok &= np.array_equal(tr.p[b], onehot)
+            ok &= tr.o[b].tobytes() == (params.matrices["A"][b] @ tr.V[b, j]).tobytes()
     # an all-masked memory contributes nothing: q' = q and the full-mode
     # logits coincide with the memoryless mode bit for bit
     params = init_params(["alpha", "near", "beta"], ["a0", "a1", "a2"], dims, seed=1)
@@ -132,7 +132,7 @@ def test_addressing_and_reading_algebra():
     tr_qonly = forward(["alpha", "near"], u, params, "q_only")
     ok &= np.array_equal(tr_full.q_prime, tr_full.q)
     ok &= tr_full.logits.tobytes() == tr_qonly.logits.tobytes()
-    ok &= tr_full.blocks == []
+    ok &= tr_full.blocks == ()
     _verdict("addressing and reading algebra",
              ok, "sum 1 +- 1e-12, masked exactly 0, one-hot read o = A v_j "
                  "bit-exact, empty memory leaves logits untouched")

@@ -244,6 +244,9 @@ def test_query_full_mode_shows_support(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "answer: " in out
     assert "block sr:" in out
+    # one attention row per block, in block order
+    headers = [line for line in out.splitlines() if line.startswith("block ")]
+    assert headers == ["block sr:", "block st:", "block rt:"]
     assert "<" in out and ">" in out  # at least one supporting triple printed
 
 

@@ -102,6 +102,32 @@ def test_masked_softmax_properties(pair):
     assert np.all(p[mask] > 0.0)
 
 
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.integers(min_value=1, max_value=10).flatmap(
+            lambda m: st.tuples(
+                st.lists(
+                    st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False),
+                             min_size=m, max_size=m),
+                    min_size=n, max_size=n),
+                st.lists(st.booleans(), min_size=m, max_size=m).filter(any),
+            )
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_masked_softmax_rows_match_one_d_calls(pair):
+    scores, mask = np.asarray(pair[0]), np.asarray(pair[1], dtype=bool)
+    p = masked_softmax(scores, mask)
+    assert p.shape == scores.shape
+    for row, p_row in zip(scores, p):
+        assert p_row.tobytes() == masked_softmax(row, mask).tobytes()
+    with pytest.raises(ValueError):
+        masked_softmax(scores, np.append(mask, True))
+    with pytest.raises(ValueError):
+        masked_softmax(scores, mask[:-1])
+
+
 def test_tanh_map_strictly_inside_unit_interval():
     x = tanh_map(np.array([1e9, -1e9, 0.0]))
     assert x[0] < 1.0

@@ -1,5 +1,6 @@
 """Memory network core: encoder, blocks, forward/backward, checkpoints."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from vkmn.embedding import EmbeddingTable, embed_entry, make_bow_table
 from vkmn.kb import Triple, build_graph
 from vkmn.kernel import finite_diff_grad, max_relative_error
 from vkmn.model import (
-    BLOCK_LAYOUT,
+    BLOCKS,
     MATRIX_ORDER,
     MODES,
     ModelDims,
@@ -61,7 +62,7 @@ def test_init_params_deterministic_and_bounded():
     p1, p2 = _params(3), _params(3)
     for name in MATRIX_ORDER:
         assert np.array_equal(p1.matrices[name], p2.matrices[name])
-        r, c = p1.matrices[name].shape
+        r, c = p1.matrices[name].shape[-2:]
         assert np.max(np.abs(p1.matrices[name])) <= math.sqrt(6.0 / (r + c))
     p3 = _params(4)
     assert not np.array_equal(p1.matrices["W_o"], p3.matrices["W_o"])
@@ -128,8 +129,8 @@ def test_joint_embed_matches_manual():
     u = np.linspace(-1.0, 1.0, DIMS.d)
     tr = forward(["alpha"], u, p, "full", _features(graph, table, slots))
     # the sr block's value row 0 is Psi of triple 0's target "beta"
-    sr = tr.blocks[0]
-    assert np.max(np.abs(sr.V[0] - _psi("beta", u, p, table))) < 1e-15
+    assert tr.blocks[0] == "sr"
+    assert np.max(np.abs(tr.V[0, 0] - _psi("beta", u, p, table))) < 1e-15
 
 
 def test_build_memory_layouts():
@@ -140,13 +141,17 @@ def test_build_memory_layouts():
            for role, phrase in (("subject", "alpha"), ("relation", "near"),
                                 ("target", "beta"))}
     tr = forward(["alpha"], u, p, "full", _features(graph, table, slots))
-    assert [blk.kind for blk in tr.blocks] == list(BLOCK_LAYOUT)
-    for blk in tr.blocks:
-        k1, k2, val = BLOCK_LAYOUT[blk.kind]
-        assert np.max(np.abs(blk.K[0] - (psi[k1] + psi[k2]))) < 1e-15
-        assert np.max(np.abs(blk.V[0] - psi[val])) < 1e-15
-        assert np.array_equal(blk.K[2], np.zeros(DIMS.d_j))  # masked row
-        assert np.array_equal(blk.V[2], np.zeros(DIMS.d_j))
+    assert tr.blocks == BLOCKS == ("sr", "st", "rt")
+    # block -> (key role 1, key role 2, value role)
+    layout = {"sr": ("subject", "relation", "target"),
+              "st": ("subject", "target", "relation"),
+              "rt": ("relation", "target", "subject")}
+    for b, name in enumerate(tr.blocks):
+        k1, k2, val = layout[name]
+        assert np.max(np.abs(tr.K[b, 0] - (psi[k1] + psi[k2]))) < 1e-15
+        assert np.max(np.abs(tr.V[b, 0] - psi[val])) < 1e-15
+        assert np.array_equal(tr.K[b, 2], np.zeros(DIMS.d_j))  # masked row
+        assert np.array_equal(tr.V[b, 2], np.zeros(DIMS.d_j))
 
 
 def test_address_keys_single_slot_one_hot():
@@ -154,8 +159,9 @@ def test_address_keys_single_slot_one_hot():
     one = SlotAssignment(slots=[0, None, None], mask=[True, False, False])
     tr = forward(["alpha"], np.ones(DIMS.d), _params(), "full",
                  _features(graph, table, one))
-    for blk in tr.blocks:
-        assert np.array_equal(blk.p, [1.0, 0.0, 0.0])
+    assert len(tr.blocks) == 3
+    for p in tr.p:
+        assert np.array_equal(p, [1.0, 0.0, 0.0])
 
 
 def test_address_keys_all_masked_zero():
@@ -164,7 +170,8 @@ def test_address_keys_all_masked_zero():
     empty = SlotAssignment(slots=[None, None, None], mask=[False, False, False])
     tr = forward(["alpha"], np.ones(DIMS.d), p, "full", _features(graph, table, empty))
     # no slot to address: no block runs and the memory adds nothing
-    assert tr.blocks == []
+    assert tr.blocks == ()
+    assert tr.p is None and tr.o is None
     assert tr.q_prime.tobytes() == tr.q.tobytes()
 
 
@@ -176,9 +183,10 @@ def test_read_values_one_hot_bit_exact():
         tids[j] = j
         one = SlotAssignment(slots=tids, mask=[t is not None for t in tids])
         tr = forward(["alpha"], np.ones(DIMS.d), p, "full", _features(graph, table, one))
-        for blk in tr.blocks:
-            A = p.matrices[blk.param]
-            assert blk.o.tobytes() == (A @ blk.V[j]).tobytes()
+        assert len(tr.blocks) == 3
+        for b in range(len(tr.blocks)):
+            A = p.matrices["A"][b]
+            assert tr.o[b].tobytes() == (A @ tr.V[b, j]).tobytes()
 
 
 def test_update_query_additivity():
@@ -186,10 +194,11 @@ def test_update_query_additivity():
     feats = _features(graph, table, slots)
     u = np.linspace(-1, 1, DIMS.d)
     tr = forward(["alpha", "beta"], u, _params(), "full", feats)
-    sr, st_, rt = tr.blocks
-    assert tr.q_prime.tobytes() == (tr.q + sr.o + st_.o + rt.o).tobytes()
+    sr, st_, rt = tr.o
+    assert tr.q_prime.tobytes() == (tr.q + sr + st_ + rt).tobytes()
     single = forward(["alpha", "beta"], u, _params(), "no_replication", feats)
-    assert single.q_prime.tobytes() == (single.q + single.blocks[0].o).tobytes()
+    assert single.o.shape == (1, DIMS.d)
+    assert single.q_prime.tobytes() == (single.q + single.o[0]).tobytes()
 
 
 def test_predict_uniform_when_zero_weights():
@@ -224,7 +233,7 @@ def test_forward_q_only_has_no_blocks():
     graph, table, slots = _setting()
     feats = _features(graph, table, slots)
     tr = forward(["alpha", "near"], np.ones(DIMS.d), _params(), "q_only", feats)
-    assert tr.blocks == []
+    assert tr.blocks == ()
     assert tr.h_u is None
 
 
@@ -240,18 +249,36 @@ def test_forward_no_replication_single_block():
     graph, table, slots = _setting()
     feats = _features(graph, table, slots)
     tr = forward(["alpha"], np.ones(DIMS.d), _params(), "no_replication", feats)
-    assert [b.kind for b in tr.blocks] == ["sr"]
+    assert tr.blocks == ("sr",)
+    assert tr.p.shape == (1, DIMS.m_slots)
     tr_full = forward(["alpha"], np.ones(DIMS.d), _params(), "full", feats)
-    assert [b.kind for b in tr_full.blocks] == ["sr", "st", "rt"]
+    assert tr_full.blocks == ("sr", "st", "rt")
+    assert tr_full.p.shape == (3, DIMS.m_slots)
+
+
+def test_no_replication_is_row_zero_of_full():
+    # the batched matmuls may sum in another order for n = 1 than for n = 3,
+    # so the rows agree to rounding, not bit for bit
+    graph, table, slots = _setting()
+    feats = _features(graph, table, slots)
+    p = _params(seed=5)
+    for u in (np.ones(DIMS.d), np.linspace(-1, 1, DIMS.d)):
+        single = forward(["alpha", "near"], u, p, "no_replication", feats)
+        full = forward(["alpha", "near"], u, p, "full", feats)
+        for name in ("K", "V", "a", "p", "w", "o"):
+            one, row0 = getattr(single, name), getattr(full, name)[:1]
+            assert one.shape == row0.shape
+            assert np.max(np.abs(one - row0)) <= 1e-12, name
 
 
 def test_forward_block_probabilities_sum_to_one():
     graph, table, slots = _setting()
     feats = _features(graph, table, slots)
     tr = forward(["alpha", "beta"], np.linspace(-1, 1, DIMS.d), _params(), "full", feats)
-    for blk in tr.blocks:
-        assert abs(blk.p.sum() - 1.0) < 1e-12
-        assert np.all(blk.p[~feats.mask] == 0.0)
+    assert len(tr.p) == 3
+    for p in tr.p:
+        assert abs(p.sum() - 1.0) < 1e-12
+        assert np.all(p[~feats.mask] == 0.0)
 
 
 def test_forward_query_residual_identity():
@@ -259,8 +286,9 @@ def test_forward_query_residual_identity():
     feats = _features(graph, table, slots)
     tr = forward(["alpha", "beta"], np.linspace(-1, 1, DIMS.d), _params(), "full", feats)
     total = tr.q.copy()
-    for blk in tr.blocks:
-        total = total + blk.o
+    assert len(tr.o) == 3
+    for o in tr.o:
+        total = total + o
     assert np.array_equal(tr.q_prime, total)
 
 
@@ -294,11 +322,11 @@ def test_backward_untouched_params_zero():
     u = np.ones(DIMS.d)
     tr = forward(["alpha"], u, p, "no_replication", feats, label=0)
     g = backward(tr, 0, p)
-    assert np.array_equal(g["A_st"], np.zeros_like(g["A_st"]))
-    assert np.array_equal(g["A_rt"], np.zeros_like(g["A_rt"]))
+    assert np.any(g["A"][0] != 0.0)
+    assert np.array_equal(g["A"][1:], np.zeros_like(g["A"][1:]))  # st, rt
     tr = forward(["alpha"], u, p, "q_only", label=0)
     g = backward(tr, 0, p)
-    for name in ("W_e", "W_u", "A_sr", "A_st", "A_rt"):
+    for name in ("W_e", "W_u", "A"):
         assert np.array_equal(g[name], np.zeros_like(g[name]))
 
 
@@ -324,6 +352,15 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert q.dims == p.dims
     for name in MATRIX_ORDER:
         assert np.array_equal(q.matrices[name], p.matrices[name])
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    # the VKMN0001 layout: the three blocks' A matrices sit back to back in
+    # sr, st, rt order, so files written before A became one stack still load
+    path = tmp_path / "model.bin"
+    save_checkpoint(_params(seed=7), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "daa9e6b15b83d01c57e9e93cfe1e1775f0edbd92a9c9ddf3f8518c93575386fd")
 
 
 def test_checkpoint_save_is_deterministic(tmp_path):

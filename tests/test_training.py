@@ -310,6 +310,15 @@ def test_load_dataset_reports_line_numbers(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_rejects_mixed_feature_lengths(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"question": ["q"], "feature": [0.0, 1.0], "answer": "a"}\n'
+                    '{"question": ["q"], "feature": [0.0, 1.0, 2.0], "answer": "a"}\n')
+    with pytest.raises(ValueError, match=r"data\.jsonl:2: .*feature length 3, "
+                                         r"the first record's is 2"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", '"nan"'])
 def test_load_dataset_rejects_non_finite_features(tmp_path, bad):
     path = tmp_path / "data.jsonl"
