@@ -12,8 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,15 +22,15 @@ from .kb import (KnowledgeGraph, Triple, build_graph, canonicalize_relation,
                  dedup_triples, extract_triples_from_qa, filter_by_frequency,
                  lemmatize, load_kb, load_qa_pairs, make_triple, read_question,
                  save_kb)
-from .model import (MODES, ModelDims, ModelParams, forward, load_checkpoint,
-                    predict, save_checkpoint, slot_features)
+from .model import (MODES, ModelDims, forward, load_checkpoint, predict,
+                    save_checkpoint, slot_features)
 from .spotting import (expand_neighborhood, match_entries, select_slots,
                        spot_question, spot_triples)
-from .training import (TrainConfig, evaluate, format_report_table,
+from .training import (EvalReport, TrainConfig, evaluate, format_report_table,
                        gradient_check, load_dataset, make_synthetic_task,
                        read_feature, save_dataset, train)
 
-CLI_MODES = ("full", "bow", "blind", "q-only", "no-replication")
+CLI_MODES = tuple(m.replace("_", "-") for m in MODES)
 GRADCHECK_TOL = 1e-4
 # epochs for the table derived in-process when --embeddings is omitted
 DERIVED_TRANSE_EPOCHS = 200
@@ -47,12 +46,12 @@ def _echo_config(args: argparse.Namespace) -> None:
           file=sys.stderr)
 
 
-def _derive_table(graph: KnowledgeGraph, d_e: int, seed: int,
-                  mode: str) -> EmbeddingTable:
-    if mode == "bow":
-        return make_bow_table(graph, d_e, seed)
-    return train_transe(graph, TransEConfig(
-        dim=d_e, epochs=DERIVED_TRANSE_EPOCHS, seed=seed))
+def _print_summary(summary: dict, as_json: bool) -> None:
+    if as_json:
+        print(json.dumps(summary, sort_keys=True))
+    else:
+        for k, v in summary.items():
+            print(f"{k}: {v}")
 
 
 def _load_table(args: argparse.Namespace, graph: Optional[KnowledgeGraph],
@@ -64,7 +63,23 @@ def _load_table(args: argparse.Namespace, graph: Optional[KnowledgeGraph],
     if args.embeddings:
         kind = "bow" if mode == "bow" else "transe"
         return load_embeddings(args.embeddings, graph, kind=kind)
-    return _derive_table(graph, d_e, args.seed, mode)
+    if mode == "bow":
+        return make_bow_table(graph, d_e, args.seed)
+    return train_transe(graph, TransEConfig(
+        dim=d_e, epochs=DERIVED_TRANSE_EPOCHS, seed=args.seed))
+
+
+def _load_memory(args: argparse.Namespace, d_e: int, mode: str
+                 ) -> Tuple[Optional[KnowledgeGraph], Optional[EmbeddingTable]]:
+    """The KB (read whenever --kb is given) and the table `mode` reads."""
+    graph = load_kb(args.kb) if args.kb else None
+    return graph, _load_table(args, graph, d_e, mode)
+
+
+def _check_feature(path: str, feature: np.ndarray, d: int, mode: str) -> None:
+    """Every mode but blind reads a visual feature of length d."""
+    if mode != "blind" and len(feature) != d:
+        raise ValueError(f"{path}: feature length {len(feature)}, model wants {d}")
 
 
 # --- subcommands -----------------------------------------------------------
@@ -104,11 +119,7 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
         "entities": len(graph.entities),
         "relations": len(graph.relations),
     }
-    if args.json:
-        print(json.dumps(stats, sort_keys=True))
-    else:
-        for k, v in stats.items():
-            print(f"{k}: {v}")
+    _print_summary(stats, args.json)
     return 0
 
 
@@ -128,11 +139,7 @@ def cmd_train_transe(args: argparse.Namespace) -> int:
         "final_loss": table.history.epoch_loss[-1] if table.history.epoch_loss else None,
         "out": args.out,
     }
-    if args.json:
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        for k, v in summary.items():
-            print(f"{k}: {v}")
+    _print_summary(summary, args.json)
     return 0
 
 
@@ -186,10 +193,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not examples:
         raise ValueError(f"{args.dataset}: no examples")
     dims = _model_dims(args, len(examples[0].visual_feature))
-    graph = load_kb(args.kb) if args.kb else None
-    if mode != "q_only" and graph is None:
-        raise ValueError("--kb is required for any mode that uses memory")
-    table = _load_table(args, graph, dims.d_e, mode)
+    graph, table = _load_memory(args, dims.d_e, mode)
     config = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
                          mode=mode, dims=dims)
     params, curve = train(examples, graph, table, config)
@@ -205,10 +209,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     }
     if args.json:
         summary["loss_curve"] = curve
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        for k, v in summary.items():
-            print(f"{k}: {v}")
+    _print_summary(summary, args.json)
     return 0
 
 
@@ -216,10 +217,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mode = _internal_mode(args.mode)
     params = load_checkpoint(args.checkpoint)
     examples = load_dataset(args.dataset)
-    graph = load_kb(args.kb) if args.kb else None
-    if mode != "q_only" and graph is None:
-        raise ValueError("--kb is required for any mode that uses memory")
-    table = _load_table(args, graph, params.dims.d_e, mode)
+    if examples:
+        _check_feature(args.dataset, examples[0].visual_feature,
+                       params.dims.d, mode)
+    graph, table = _load_memory(args, params.dims.d_e, mode)
     report = evaluate(examples, params, graph, table, mode)
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
@@ -236,13 +237,8 @@ def cmd_query(args: argparse.Namespace) -> int:
             u = read_feature(json.load(f))
         except ValueError as e:
             raise ValueError(f"{args.feature}: {e}") from None
-    if mode not in ("blind",) and u.shape != (params.dims.d,):
-        raise ValueError(
-            f"{args.feature}: feature length {u.shape[0]}, model wants {params.dims.d}")
-    graph = load_kb(args.kb) if args.kb else None
-    if mode != "q_only" and graph is None:
-        raise ValueError("--kb is required for any mode that uses memory")
-    table = _load_table(args, graph, params.dims.d_e, mode)
+    _check_feature(args.feature, u, params.dims.d, mode)
+    graph, table = _load_memory(args, params.dims.d_e, mode)
 
     for line in sys.stdin:
         if not line.strip():
@@ -269,8 +265,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     dims = ModelDims(d=8, d_j=6, d_e=5, d_w=4, m_slots=4, k_answers=3)
-    modes = [_internal_mode(args.mode)] if args.mode else [ _internal_mode(m) for m in CLI_MODES]
+    modes = [_internal_mode(args.mode)] if args.mode else list(MODES)
     results: Dict[str, float] = {}
     for mode in modes:
         worst = 0.0
@@ -297,21 +295,25 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         if not (args.dataset and args.test and args.kb):
             raise ValueError("ablate needs --dataset, --test and --kb together "
                              "(or none of them for the built-in synthetic task)")
-        train_set = load_dataset(args.dataset)
-        test_set = load_dataset(args.test)
+        train_set, test_set = load_dataset(args.dataset), load_dataset(args.test)
+        if not train_set:
+            raise ValueError(f"{args.dataset}: no examples")
         graph = load_kb(args.kb)
     else:
         task = make_synthetic_task(seed=args.seed, dim=args.dim or 32)
         train_set, test_set, graph = task.train, task.test, task.graph
 
-    feature_dim = len(train_set[0].visual_feature)
-    dims = _model_dims(args, feature_dim)
-    transe_table = _derive_table(graph, dims.d_e, args.seed, "full") \
-        if not args.embeddings else load_embeddings(args.embeddings, graph)
+    dims = _model_dims(args, len(train_set[0].visual_feature))
+    if args.dataset:
+        # checked as for a mode that reads the feature: ablate trains them all
+        for path, examples in ((args.dataset, train_set), (args.test, test_set)):
+            if examples:
+                _check_feature(path, examples[0].visual_feature, dims.d, "full")
+    transe_table = _load_table(args, graph, dims.d_e, "full")
     bow_table = make_bow_table(graph, dims.d_e, args.seed)
 
-    rows = []
-    report_json = {}
+    splits = {"train": train_set, "test": test_set}
+    reports: Dict[str, Dict[str, EvalReport]] = {split: {} for split in splits}
     for cli_mode in CLI_MODES:
         mode = _internal_mode(cli_mode)
         table = None if mode == "q_only" else (
@@ -319,14 +321,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         config = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
                              mode=mode, dims=dims)
         params, curve = train(train_set, graph, table, config)
-        report = evaluate(test_set, params, graph, table, mode,
-                          loss_curve=curve)
-        rows.append((cli_mode, report))
-        report_json[cli_mode] = report.to_json()
+        for split, examples in splits.items():
+            reports[split][cli_mode] = evaluate(examples, params, graph, table,
+                                                mode, loss_curve=curve)
     if args.json:
-        print(json.dumps(report_json, sort_keys=True))
+        print(json.dumps({split: {m: r.to_json() for m, r in rows.items()}
+                          for split, rows in reports.items()}, sort_keys=True))
     else:
-        print(format_report_table(rows))
+        train_rows, test_rows = (list(reports[s].items()) for s in splits)
+        print(f"training split:\n{format_report_table(train_rows)}\n\n"
+              f"held-out split:\n{format_report_table(test_rows)}")
     return 0
 
 
@@ -351,11 +355,7 @@ def cmd_make_synth(args: argparse.Namespace) -> int:
         "train_examples": len(task.train), "test_examples": len(task.test),
         "confusable_pairs": len(task.pair_indices),
     }
-    if args.json:
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        for k, v in summary.items():
-            print(f"{k}: {v}")
+    _print_summary(summary, args.json)
     return 0
 
 

@@ -8,7 +8,7 @@ import pytest
 from vkmn.cli import main
 from vkmn.kb import load_kb
 from vkmn.spotting import spot_question
-from vkmn.training import load_dataset
+from vkmn.training import load_dataset, make_synthetic_task
 
 
 def _kb_file(tmp_path, name="kb.tsv"):
@@ -33,10 +33,10 @@ def _qa_file(tmp_path):
     return path
 
 
-def _synth(tmp_path, name="synth"):
+def _synth(tmp_path, name="synth", dim=8):
     out = tmp_path / name
     rc = main(["make-synth", "--out", str(out), "--entities", "8",
-               "--relations", "3", "--triples", "10", "--dim", "8"])
+               "--relations", "3", "--triples", "10", "--dim", str(dim)])
     assert rc == 0
     return out
 
@@ -196,6 +196,24 @@ def test_eval_text_table(tmp_path, capsys):
     assert "q-only" in out
 
 
+def test_eval_rejects_wrong_feature_length(tmp_path, capsys):
+    synth, wide = _synth(tmp_path), _synth(tmp_path, "wide", dim=16)
+    ckpt = tmp_path / "model.bin"
+    assert main(["train", "--dataset", str(synth / "train.jsonl"),
+                 "--checkpoint", str(ckpt), "--mode", "q-only",
+                 "--knowledge-dim", "4", "--word-dim", "4", "--epochs", "1"]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--dataset", str(wide / "train.jsonl"),
+               "--checkpoint", str(ckpt), "--mode", "q-only"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(line.startswith("error:") and
+               line.endswith(f"{wide / 'train.jsonl'}: feature length 16, "
+                             "model wants 8")
+               for line in captured.err.splitlines())
+
+
 def test_train_memory_mode_requires_kb(tmp_path, capsys):
     synth = _synth(tmp_path)
     rc = main(["train", "--dataset", str(synth / "train.jsonl"),
@@ -319,17 +337,76 @@ def test_gradcheck_cli_json(capsys):
     assert blob["max"] <= blob["tolerance"]
 
 
+def test_gradcheck_rejects_fewer_than_one_seed(capsys):
+    rc = main(["gradcheck", "--mode", "full", "--seeds", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert any(line.startswith("error:") and "--seeds" in line
+               for line in captured.err.splitlines())
+
+
 def test_ablate_synthetic_table(capsys):
     rc = main(["ablate", "--dim", "8", "--knowledge-dim", "8",
                "--word-dim", "8", "--epochs", "1"])
     assert rc == 0
-    out = capsys.readouterr().out
-    lines = out.splitlines()
-    assert lines[0].split() == ["Model", "All", "Y/N", "Num", "Other"]
-    body = "\n".join(lines[1:])
-    for mode in ("full", "bow", "blind", "q-only", "no-replication"):
-        assert mode in body
-    assert len(lines) == 6  # header + one row per mode
+    tables = capsys.readouterr().out.rstrip("\n").split("\n\n")
+    assert [t.splitlines()[0] for t in tables] == ["training split:",
+                                                   "held-out split:"]
+    for table in tables:
+        lines = table.splitlines()[1:]
+        assert lines[0].split() == ["Model", "All", "Y/N", "Num", "Other"]
+        body = "\n".join(lines[1:])
+        for mode in ("full", "bow", "blind", "q-only", "no-replication"):
+            assert mode in body
+        assert len(lines) == 6  # header + one row per mode
+
+
+def test_ablate_json_reports_both_splits(capsys):
+    rc = main(["ablate", "--dim", "8", "--knowledge-dim", "8",
+               "--word-dim", "8", "--epochs", "1", "--json"])
+    assert rc == 0
+    blob = json.loads(capsys.readouterr().out)
+    task = make_synthetic_task(seed=7, dim=8)  # ablate's default seed
+    assert set(blob) == {"train", "test"}
+    for split, examples in (("train", task.train), ("test", task.test)):
+        assert set(blob[split]) == {"full", "bow", "blind", "q-only",
+                                    "no-replication"}
+        for report in blob[split].values():
+            assert sum(report["counts"].values()) == len(examples)
+            assert len(report["loss_curve"]) == 1
+
+
+def test_ablate_rejects_empty_training_file(tmp_path, capsys):
+    synth = _synth(tmp_path)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    rc = main(["ablate", "--dataset", str(empty), "--test",
+               str(synth / "test.jsonl"), "--kb", str(synth / "kb.tsv")])
+    assert rc == 1
+    assert any(line.startswith("error:") and line.endswith("empty.jsonl: no examples")
+               for line in capsys.readouterr().err.splitlines())
+
+
+def test_ablate_checks_test_feature_length_before_training(tmp_path, capsys,
+                                                           monkeypatch):
+    synth, wide = _synth(tmp_path), _synth(tmp_path, "wide", dim=16)
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the feature check")
+
+    monkeypatch.setattr("vkmn.cli.train", no_training)
+    monkeypatch.setattr("vkmn.cli.train_transe", no_training)
+    rc = main(["ablate", "--dataset", str(synth / "train.jsonl"),
+               "--test", str(wide / "train.jsonl"), "--kb", str(synth / "kb.tsv")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(line.startswith("error:") and
+               line.endswith(f"{wide / 'train.jsonl'}: feature length 16, "
+                             "model wants 8")
+               for line in captured.err.splitlines())
 
 
 def test_ablate_rejects_partial_file_args(tmp_path, capsys):
