@@ -21,7 +21,7 @@ from .embedding import (EmbeddingTable, TransEConfig, load_embeddings,
 from .kb import (KnowledgeGraph, Triple, build_graph, canonicalize_relation,
                  dedup_triples, extract_triples_from_qa, filter_by_frequency,
                  lemmatize, load_kb, load_qa_pairs, make_triple, read_question,
-                 save_kb)
+                 read_records, save_kb)
 from .model import (MODES, ModelDims, forward, load_checkpoint, predict,
                     save_checkpoint, slot_features)
 from .spotting import (expand_neighborhood, match_entries, select_slots,
@@ -60,11 +60,13 @@ def _load_table(args: argparse.Namespace, graph: Optional[KnowledgeGraph],
         return None
     if graph is None:
         raise ValueError("--kb is required for any mode that uses memory")
-    if args.embeddings:
-        kind = "bow" if mode == "bow" else "transe"
-        return load_embeddings(args.embeddings, graph, kind=kind)
     if mode == "bow":
+        # a word table: each row is a token's vector, whatever its role in the graph
+        if args.embeddings:
+            return load_embeddings(args.embeddings, kind="bow")
         return make_bow_table(graph, d_e, args.seed)
+    if args.embeddings:
+        return load_embeddings(args.embeddings, graph)
     return train_transe(graph, TransEConfig(
         dim=d_e, epochs=DERIVED_TRANSE_EPOCHS, seed=args.seed))
 
@@ -143,28 +145,19 @@ def cmd_train_transe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _iter_question_lines(path: Optional[str]):
-    if path:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    question = read_question(json.loads(line))
-                except (KeyError, TypeError, ValueError) as e:
-                    raise ValueError(f"{path}:{lineno}: malformed question ({e})") from e
-                yield question
-    else:
-        for line in sys.stdin:
-            if not line.strip():
-                break
-            yield line.split()
+def _stdin_questions():
+    """Whitespace-split questions from stdin, one a line, up to the first blank line."""
+    for line in sys.stdin:
+        if not line.strip():
+            return
+        yield line.split()
 
 
 def cmd_spot(args: argparse.Namespace) -> int:
     graph = load_kb(args.kb)
-    for raw_tokens in _iter_question_lines(args.dataset):
+    questions = (read_records(args.dataset, lambda line: read_question(json.loads(line.strip())))
+                 if args.dataset else _stdin_questions())
+    for raw_tokens in questions:
         tokens = [lemmatize(t) for t in raw_tokens]
         matched = match_entries(tokens, graph.entry_set())
         spotted = expand_neighborhood(spot_triples(matched, graph), graph)
@@ -217,9 +210,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mode = _internal_mode(args.mode)
     params = load_checkpoint(args.checkpoint)
     examples = load_dataset(args.dataset)
-    if examples:
-        _check_feature(args.dataset, examples[0].visual_feature,
-                       params.dims.d, mode)
+    if not examples:
+        raise ValueError(f"{args.dataset}: no examples")
+    _check_feature(args.dataset, examples[0].visual_feature, params.dims.d, mode)
     graph, table = _load_memory(args, params.dims.d_e, mode)
     report = evaluate(examples, params, graph, table, mode)
     if args.json:
@@ -240,10 +233,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     _check_feature(args.feature, u, params.dims.d, mode)
     graph, table = _load_memory(args, params.dims.d_e, mode)
 
-    for line in sys.stdin:
-        if not line.strip():
-            break
-        tokens = [lemmatize(t) for t in line.split()]
+    for raw_tokens in _stdin_questions():
+        tokens = [lemmatize(t) for t in raw_tokens]
         feats = assignment = None
         if mode != "q_only":
             assignment = spot_question(tokens, graph, params.dims.m_slots)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .kernel import Array
-from .kb import KnowledgeGraph
+from .kb import KnowledgeGraph, read_records
 
 
 @dataclass
@@ -351,49 +351,52 @@ def load_embeddings(path: str, graph: Optional[KnowledgeGraph] = None,
     phrase belongs to (both when dual-role, unless a `\rel:` row gives the
     relation vector); without a graph they land in entity_vectors. Files
     from before the escapes load unchanged: a bare `_` is still a space."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            count, dim = (int(h) for h in f.readline().split())
-        except ValueError:
-            raise ValueError(f"{path}:1: expected '<count> <dim>' header") from None
-        entity_vectors: Dict[str, Array] = {}
-        relation_vectors: Dict[str, Array] = {}
-        relation_rows: Dict[str, Array] = {}
-        seen = set()
-        n = 0
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(" ")
-            if len(fields) != dim + 1:
-                raise ValueError(f"{path}:{lineno}: expected phrase + {dim} values")
-            name = fields[0]
-            relation_row = name.startswith(RELATION_ROW)
+    count = dim = 0  # from the header, the first non-blank line
+    seen: Set[str] = set()
+
+    def parse(line: str) -> Optional[Tuple[bool, str, Array]]:
+        nonlocal count, dim
+        if not dim:
             try:
-                phrase = _decode_phrase(name[len(RELATION_ROW):] if relation_row else name)
-                if not phrase:
-                    raise ValueError("empty phrase")
-                vec = np.array(fields[1:], dtype=np.float64)
-                if not np.isfinite(vec).all():
-                    raise ValueError("non-finite value")
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            if name in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate row for {phrase!r}")
-            seen.add(name)
-            n += 1
-            if relation_row:
-                relation_rows[phrase] = vec
-                continue
-            is_rel = graph is not None and phrase in graph.relations
-            is_ent = graph is None or phrase in graph.entities
-            if is_rel:
-                relation_vectors[phrase] = vec
-            if is_ent or not is_rel:
-                entity_vectors[phrase] = vec
-        if n != count:
-            raise ValueError(f"{path}: header says {count} rows, found {n}")
-    relation_vectors.update(relation_rows)
+                count, dim = (int(h) for h in line.split())
+            except ValueError:
+                raise ValueError("expected '<count> <dim>' header") from None
+            if dim < 1:
+                raise ValueError(f"dim must be >= 1, got {dim}")
+            return None
+        fields = line.split(" ")
+        if len(fields) != dim + 1:
+            raise ValueError(f"expected phrase + {dim} values")
+        name = fields[0]
+        relation_row = name.startswith(RELATION_ROW)
+        phrase = _decode_phrase(name[len(RELATION_ROW):] if relation_row else name)
+        if not phrase:
+            raise ValueError("empty phrase")
+        vec = np.array(fields[1:], dtype=np.float64)
+        if not np.isfinite(vec).all():
+            raise ValueError("non-finite value")
+        if name in seen:
+            raise ValueError(f"duplicate row for {phrase!r}")
+        seen.add(name)
+        return relation_row, phrase, vec
+
+    entity_vectors: Dict[str, Array] = {}
+    relation_vectors: Dict[str, Array] = {}
+    rows = read_records(path, parse)
+    next(rows, None)  # the header, read into count and dim
+    for relation_row, phrase, vec in rows:
+        if relation_row:
+            relation_vectors[phrase] = vec
+            continue
+        is_rel = graph is not None and phrase in graph.relations
+        is_ent = graph is None or phrase in graph.entities
+        if is_rel:
+            relation_vectors.setdefault(phrase, vec)  # a `\rel:` row wins, before or after
+        if is_ent or not is_rel:
+            entity_vectors[phrase] = vec
+    if not dim:
+        raise ValueError(f"{path}: no '<count> <dim>' header")
+    if len(seen) != count:
+        raise ValueError(f"{path}: header says {count} rows, found {len(seen)}")
     return EmbeddingTable(dim=dim, entity_vectors=entity_vectors,
                           relation_vectors=relation_vectors, kind=kind)

@@ -14,7 +14,10 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence,
+                    Set, Tuple, TypeVar)
+
+R = TypeVar("R")
 
 # Irregular forms resolved before any suffix rule fires. Kept to forms that
 # actually show up in captions/questions about everyday scenes.
@@ -107,8 +110,8 @@ class Triple:
 
     def __post_init__(self):
         for name in ("subject", "relation", "target"):
-            if not getattr(self, name):
-                raise ValueError(f"triple {name} must be non-empty")
+            if not getattr(self, name).strip():
+                raise ValueError(f"triple {name} must be non-empty, got {getattr(self, name)!r}")
 
     def phrases(self) -> Tuple[str, str, str]:
         return (self.subject, self.relation, self.target)
@@ -195,11 +198,6 @@ def extract_triples_from_qa(question_tokens: Sequence[str], answer: str) -> List
                 x = " ".join(_content(body[:-1]))
                 if x:
                     return emit(x, body[-1], ans)
-            # (c) with progressive verb: "what is sitting on the table" -> <answer, sit, table>
-            if len(body) >= 2 and body[0].endswith("ing") and _is_verb_like(body[0]):
-                y = " ".join(_content(body[1:]))
-                if y:
-                    return emit(ans, body[0], y)
         elif rest[0] in ("do", "does", "did") and len(rest) >= 3:
             # (a) "what do dogs eat" -> <dog, eat, answer>
             x = " ".join(_content(rest[1:-1]))
@@ -210,7 +208,8 @@ def extract_triples_from_qa(question_tokens: Sequence[str], answer: str) -> List
         body = toks[1:]
         if body[0] in ("is", "are") and len(body) >= 3 and body[1].endswith("ing") and _is_verb_like(body[1]):
             body = body[1:]
-        # (c) "who wears the hat" -> <answer, wear, hat>
+        # (c) "who wears the hat" -> <answer, wear, hat>, also with a
+        # progressive verb: "what is sitting on the table" -> <answer, sit, on table>
         if body[0] not in AUXILIARIES and _is_verb_like(body[0]):
             y = " ".join(_content(body[1:]))
             if y:
@@ -310,11 +309,6 @@ class KnowledgeGraph:
         out.difference_update(tids)
         return out
 
-    def frequency_sum(self, tid: int) -> int:
-        """KB-wide occurrence count of the triple's three phrases, summed;
-        computed for every triple when the graph is built."""
-        return self.frequency_sums[tid]
-
 
 def build_graph(triples: Sequence[Triple]) -> KnowledgeGraph:
     return KnowledgeGraph(triples)
@@ -327,28 +321,41 @@ def save_kb(graph: KnowledgeGraph, path: str) -> None:
             f.write(f"{t.subject}\t{t.relation}\t{t.target}\n")
 
 
-def load_kb(path: str) -> KnowledgeGraph:
-    triples = []
+def read_records(path: str, parse: Callable[[str], R]) -> Iterator[R]:
+    """The one reader of the text formats: `parse` of each non-blank line.
+
+    The file is read as UTF-8 and its lines are numbered from 1. Blank and
+    whitespace-only lines are skipped; `parse` gets every other line with
+    only its newline removed. A ValueError, KeyError or TypeError from
+    `parse` becomes one ValueError "<path>:<line>: ...".
+    """
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
+            if line.isspace():
                 continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
             try:
-                triples.append(Triple(*fields))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-    return build_graph(triples)
+                record = parse(line.rstrip("\n"))
+            except (ValueError, KeyError, TypeError) as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from e
+            yield record
+
+
+def _parse_triple(line: str) -> Triple:
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
+    return Triple(*fields)
+
+
+def load_kb(path: str) -> KnowledgeGraph:
+    return build_graph(list(read_records(path, _parse_triple)))
 
 
 def read_question(record) -> List[str]:
     """The `question` of one JSONL record: a non-empty array of strings."""
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
-    question = record["question"]
+    question = record.get("question")
     if not (isinstance(question, list) and question
             and all(isinstance(t, str) for t in question)):
         raise ValueError("question must be a non-empty array of strings")
@@ -357,23 +364,17 @@ def read_question(record) -> List[str]:
 
 def read_answer(record) -> str:
     """The `answer` of one JSONL record: a non-empty string, or a number."""
-    answer = record["answer"]
+    answer = record.get("answer")
     if isinstance(answer, bool) or not isinstance(answer, (str, int, float)) or answer == "":
         raise ValueError("answer must be a non-empty string or a number")
     return str(answer)
 
 
+def _parse_qa_pair(line: str) -> Tuple[List[str], str]:
+    record = json.loads(line.strip())
+    return read_question(record), read_answer(record)
+
+
 def load_qa_pairs(path: str) -> List[Tuple[List[str], str]]:
     """QA-pair extraction input: JSONL with `question` (token array) and `answer`."""
-    pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                pairs.append((read_question(obj), read_answer(obj)))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}:{lineno}: malformed QA record ({e})") from e
-    return pairs
+    return list(read_records(path, _parse_qa_pair))

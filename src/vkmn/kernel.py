@@ -65,7 +65,8 @@ def masked_softmax(scores: Array, mask: Array) -> Array:
     out = np.zeros_like(scores)
     live = scores[..., mask]
     live = np.exp(live - live.max(axis=-1, keepdims=True))
-    out[..., mask] = live / live.sum(axis=-1, keepdims=True)
+    # cumsum adds each row left to right, as a 1-d call does; a stacked sum need not
+    out[..., mask] = live / np.cumsum(live, axis=-1)[..., -1:]
     return out
 
 

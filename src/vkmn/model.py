@@ -307,7 +307,10 @@ def load_checkpoint(path: str) -> ModelParams:
                          f"{header} bytes after the magic")
     d, d_j, d_e, d_w, m_slots, k_answers, vocab_size = struct.unpack_from("<7I", data, off)
     off += header
-    dims = ModelDims(d=d, d_j=d_j, d_e=d_e, d_w=d_w, m_slots=m_slots, k_answers=k_answers)
+    try:
+        dims = ModelDims(d=d, d_j=d_j, d_e=d_e, d_w=d_w, m_slots=m_slots, k_answers=k_answers)
+    except ValueError as e:
+        raise ValueError(f"{path}: bad header at byte 8: {e}") from None
     matrices = {}
     for name, shape in _matrix_shapes(dims, vocab_size).items():
         end = off + 8 * math.prod(shape)
@@ -327,7 +330,10 @@ def load_checkpoint(path: str) -> ModelParams:
             if off + n > len(data):
                 raise ValueError(f"{path}: truncated string at byte {off}, "
                                  f"{n} bytes declared, {len(data) - off} left")
-            out.append(data[off:off + n].decode("utf-8"))
+            try:
+                out.append(data[off:off + n].decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: string at byte {off} is not UTF-8: {e.reason}") from None
             off += n
         return out
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .embedding import EmbeddingTable
 from .kb import (KnowledgeGraph, Triple, build_graph, lemmatize, read_answer,
-                 read_question)
+                 read_question, read_records)
 from .kernel import Array, finite_diff_grad, max_relative_error, sgd_step
 from .model import (MODES, ModelDims, ModelParams, SlotFeatures, backward,
                     forward, init_params, predict, slot_features)
@@ -376,9 +376,9 @@ def make_synthetic_task(seed: int = 7, n_entities: int = 20, n_relations: int = 
 # --- dataset files ----------------------------------------------------------------
 
 def read_feature(values) -> Array:
-    """A visual feature: a JSON array of finite numbers."""
-    if not isinstance(values, list):
-        raise ValueError("feature must be an array of numbers")
+    """A visual feature: a non-empty JSON array of finite numbers."""
+    if not (isinstance(values, list) and values):
+        raise ValueError("feature must be a non-empty array of numbers")
     for i, v in enumerate(values):
         number = isinstance(v, (int, float)) and not isinstance(v, bool)
         # exact for ints too: 10**400 fails it as inf and nan do
@@ -392,27 +392,23 @@ def load_dataset(path: str) -> List[VqaExample]:
     numbers, as many in every record], "answer": string or number, optional
     "answer_type"}. Question tokens are lowercased and lemmatized on the way
     in, answers lowercased."""
-    examples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                feature = read_feature(obj["feature"])
-                if examples and len(feature) != len(examples[0].visual_feature):
-                    raise ValueError(f"feature length {len(feature)}, the first "
-                                     f"record's is {len(examples[0].visual_feature)}")
-                examples.append(VqaExample(
-                    question_tokens=[lemmatize(t) for t in read_question(obj)],
-                    visual_feature=feature,
-                    answer=read_answer(obj).lower(),
-                    answer_type=str(obj.get("answer_type", "")),
-                ))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}:{lineno}: malformed example ({e})") from e
-    return examples
+    width = 0  # the first record's feature length
+
+    def parse(line: str) -> VqaExample:
+        nonlocal width
+        record = json.loads(line.strip())
+        question = read_question(record)
+        feature = read_feature(record.get("feature"))
+        width = width or len(feature)
+        if len(feature) != width:
+            raise ValueError(f"feature length {len(feature)}, the first "
+                             f"record's is {width}")
+        return VqaExample(question_tokens=[lemmatize(t) for t in question],
+                          visual_feature=feature,
+                          answer=read_answer(record).lower(),
+                          answer_type=str(record.get("answer_type", "")))
+
+    return list(read_records(path, parse))
 
 
 def save_dataset(examples: Sequence[VqaExample], path: str) -> None:

@@ -6,9 +6,10 @@ import json
 import pytest
 
 from vkmn.cli import main
+from vkmn.embedding import embed_entry
 from vkmn.kb import load_kb
 from vkmn.spotting import spot_question
-from vkmn.training import load_dataset, make_synthetic_task
+from vkmn.training import load_dataset, make_synthetic_task, train
 
 
 def _kb_file(tmp_path, name="kb.tsv"):
@@ -34,9 +35,10 @@ def _qa_file(tmp_path):
 
 
 def _synth(tmp_path, name="synth", dim=8):
+    # 12 triples: 35 training and 3 held-out questions
     out = tmp_path / name
     rc = main(["make-synth", "--out", str(out), "--entities", "8",
-               "--relations", "3", "--triples", "10", "--dim", str(dim)])
+               "--relations", "3", "--triples", "12", "--dim", str(dim)])
     assert rc == 0
     return out
 
@@ -192,8 +194,29 @@ def test_eval_text_table(tmp_path, capsys):
                "--checkpoint", str(ckpt), "--mode", "q-only"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[0].split() == ["Model", "All", "Y/N", "Num", "Other"]
-    assert "q-only" in out
+    header, row = out.splitlines()
+    assert header.split() == ["Model", "All", "Y/N", "Num", "Other"]
+    name, accuracy, *_ = row.split()
+    assert name == "q-only"
+    assert 0.0 <= float(accuracy) <= 100.0  # a number, not "-": 3 held-out questions
+
+
+def test_eval_rejects_empty_dataset(tmp_path, capsys):
+    synth = _synth(tmp_path)
+    ckpt = tmp_path / "model.bin"
+    assert main(["train", "--dataset", str(synth / "train.jsonl"),
+                 "--checkpoint", str(ckpt), "--mode", "q-only",
+                 "--knowledge-dim", "4", "--word-dim", "4", "--epochs", "1"]) == 0
+    capsys.readouterr()
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n \t\n")
+    rc = main(["eval", "--dataset", str(empty), "--checkpoint", str(ckpt),
+               "--mode", "q-only"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(line.startswith("error:") and line.endswith("empty.jsonl: no examples")
+               for line in captured.err.splitlines())
 
 
 def test_eval_rejects_wrong_feature_length(tmp_path, capsys):
@@ -212,6 +235,35 @@ def test_eval_rejects_wrong_feature_length(tmp_path, capsys):
                line.endswith(f"{wide / 'train.jsonl'}: feature length 16, "
                              "model wants 8")
                for line in captured.err.splitlines())
+
+
+def test_train_bow_reads_every_word_of_its_embeddings_file(tmp_path, capsys,
+                                                           monkeypatch):
+    # "eat" and "chase" are relations of the KB; in a bow word file they are
+    # words like any other, and each keeps its own vector
+    kb = _kb_file(tmp_path)
+    words = tmp_path / "words.txt"
+    words.write_text("5 2\nbone 1 0\nchase 0.5 0.5\ncat 1 1\ndog -1 0\neat 0 1\n")
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps({"question": ["what", "do", "dogs", "eat"],
+                                "feature": [0.5, -0.5], "answer": "bone"}) + "\n")
+    tables = []
+
+    def train_and_keep_table(examples, graph, table, config):
+        tables.append(table)
+        return train(examples, graph, table, config)
+
+    monkeypatch.setattr("vkmn.cli.train", train_and_keep_table)
+    rc = main(["train", "--dataset", str(data), "--kb", str(kb),
+               "--embeddings", str(words), "--checkpoint", str(tmp_path / "m.bin"),
+               "--mode", "bow", "--knowledge-dim", "2", "--word-dim", "2",
+               "--epochs", "1"])
+    assert rc == 0
+    (table,) = tables
+    assert table.kind == "bow"
+    assert embed_entry("eat", table).tolist() == [0.0, 1.0]
+    assert embed_entry("chase", table).tolist() == [0.5, 0.5]
+    assert embed_entry("dog eat", table).tolist() == [-0.5, 0.5]
 
 
 def test_train_memory_mode_requires_kb(tmp_path, capsys):

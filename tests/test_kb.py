@@ -87,6 +87,12 @@ def test_triple_rejects_empty_fields():
         Triple("dog", "eat", "")
 
 
+@pytest.mark.parametrize("blank", [" ", "\t", " \x0c\u3000"])
+def test_triple_rejects_whitespace_only_fields(blank):
+    with pytest.raises(ValueError, match="triple relation must be non-empty"):
+        Triple("dog", blank, "bone")
+
+
 def test_make_triple_normalizes():
     t = make_triple("Dogs", "Eating", "Bones")
     assert t == Triple("dog", "eat", "bone")
@@ -115,6 +121,22 @@ def test_extract_purpose_template():
 def test_extract_who_subject_template():
     out = extract_triples_from_qa(["who", "wears", "the", "hat"], "man")
     assert out == [Triple("man", "wear", "hat")]
+
+
+def test_extract_who_subject_progressive_template():
+    # (c) after "is": the answer is the subject of the progressive verb
+    out = extract_triples_from_qa(["what", "is", "sitting", "on", "the", "table"], "cat")
+    assert out == [Triple("cat", "sit", "on table")]
+    out = extract_triples_from_qa(["who", "is", "holding", "the", "umbrella"], "man")
+    assert out == [Triple("man", "hold", "umbrella")]
+
+
+def test_extract_fallback_template():
+    # (d) no question template fits: one verb, one contiguous noun phrase
+    out = extract_triples_from_qa(["where", "does", "the", "dog", "sleep"], "kennel")
+    assert out == [Triple("dog", "sleep", "kennel")]
+    # two noun phrases around the verb are not one contiguous phrase
+    assert extract_triples_from_qa(["where", "dog", "sleep", "bed"], "x") == []
 
 
 def test_extract_skips_yes_no():
@@ -234,7 +256,7 @@ def test_graph_indices_and_adjacency():
     assert g.frequency["dog"] == 2
     assert g.frequency["eat"] == 2
     assert g.frequency["bone"] == 1
-    assert g.frequency_sum(0) == 5
+    assert g.frequency_sums[0] == 5
 
 
 def test_graph_isolated_triple_has_no_neighbors():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vkmn.kernel import (
@@ -116,6 +116,8 @@ def test_masked_softmax_properties(pair):
     )
 )
 @settings(max_examples=200, deadline=None)
+@example(pair=([[0.0] * 10, [0.0] * 6 + [48.0, 11.0, 31.5, 0.0]],
+               [False] + [True] * 8 + [False]))  # a stacked sum once differed here
 def test_masked_softmax_rows_match_one_d_calls(pair):
     scores, mask = np.asarray(pair[0]), np.asarray(pair[1], dtype=bool)
     p = masked_softmax(scores, mask)
