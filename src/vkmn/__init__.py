@@ -12,8 +12,8 @@ from .spotting import (SlotAssignment, SpottedSet, expand_neighborhood,
                        match_entries, select_slots, spot_question,
                        spot_triples)
 from .training import (EvalReport, SyntheticTask, TrainConfig, VqaExample,
-                       build_answer_vocab, classify_answer_type, evaluate,
-                       gradient_check, load_dataset, make_synthetic_task,
-                       save_dataset, train)
+                       answer_question, build_answer_vocab, classify_answer_type,
+                       evaluate, gradient_check, load_dataset, make_synthetic_task,
+                       retrieve, save_dataset, train)
 
 __version__ = "0.1.0"

@@ -22,13 +22,11 @@ from .kb import (KnowledgeGraph, Triple, build_graph, canonicalize_relation,
                  dedup_triples, extract_triples_from_qa, filter_by_frequency,
                  lemmatize, load_kb, load_qa_pairs, make_triple, read_question,
                  read_records, save_kb)
-from .model import (MODES, ModelDims, forward, load_checkpoint, predict,
-                    save_checkpoint, slot_features)
-from .spotting import (expand_neighborhood, match_entries, select_slots,
-                       spot_question, spot_triples)
-from .training import (EvalReport, TrainConfig, evaluate, format_report_table,
-                       gradient_check, load_dataset, make_synthetic_task,
-                       read_feature, save_dataset, train)
+from .model import MODES, ModelDims, load_checkpoint, save_checkpoint
+from .spotting import spot_question
+from .training import (EvalReport, TrainConfig, answer_question, evaluate,
+                       format_report_table, gradient_check, load_dataset,
+                       make_synthetic_task, read_feature, save_dataset, train)
 
 CLI_MODES = tuple(m.replace("_", "-") for m in MODES)
 GRADCHECK_TOL = 1e-4
@@ -158,12 +156,10 @@ def cmd_spot(args: argparse.Namespace) -> int:
     questions = (read_records(args.dataset, lambda line: read_question(json.loads(line.strip())))
                  if args.dataset else _stdin_questions())
     for raw_tokens in questions:
-        tokens = [lemmatize(t) for t in raw_tokens]
-        matched = match_entries(tokens, graph.entry_set())
-        spotted = expand_neighborhood(spot_triples(matched, graph), graph)
-        assignment = select_slots(spotted, graph, args.slots)
+        assignment = spot_question([lemmatize(t) for t in raw_tokens], graph, args.slots)
+        spotted = assignment.spotted
         print(json.dumps({
-            "matched": sorted(matched),
+            "matched": sorted(spotted.matched_entries),
             "core": spotted.core,
             "expanded": spotted.expanded,
             "slots": assignment.slots,
@@ -228,30 +224,24 @@ def cmd_query(args: argparse.Namespace) -> int:
     with open(args.feature, "r", encoding="utf-8") as f:
         try:
             u = read_feature(json.load(f))
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise ValueError(f"{args.feature}: {e}") from None
     _check_feature(args.feature, u, params.dims.d, mode)
     graph, table = _load_memory(args, params.dims.d_e, mode)
 
     for raw_tokens in _stdin_questions():
-        tokens = [lemmatize(t) for t in raw_tokens]
-        feats = assignment = None
-        if mode != "q_only":
-            assignment = spot_question(tokens, graph, params.dims.m_slots)
-            feats = slot_features(assignment, table, graph)
-        trace = forward(tokens, u, params, mode, feats)
-        idx, _ = predict(trace.q_prime, params.matrices["W_o"])
-        print(f"answer: {params.answer_vocab[idx]}")
+        answer, trace, assignment = answer_question(
+            [lemmatize(t) for t in raw_tokens], u, params, graph, table, mode)
+        print(f"answer: {answer}")
         if not trace.blocks:
             print("no supporting facts")
             continue
         for name, p in zip(trace.blocks, trace.p):
             print(f"block {name}:")
             for slot in np.argsort(-p)[:5]:
-                if not assignment.mask[slot]:
-                    continue
-                triple = graph.triples[assignment.slots[slot]]
-                print(f"  {p[slot]:.4f}  {triple}")
+                tid = assignment.slots[slot]
+                if tid is not None:
+                    print(f"  {p[slot]:.4f}  {graph.triples[tid]}")
     return 0
 
 

@@ -326,16 +326,22 @@ def read_records(path: str, parse: Callable[[str], R]) -> Iterator[R]:
 
     The file is read as UTF-8 and its lines are numbered from 1. Blank and
     whitespace-only lines are skipped; `parse` gets every other line with
-    only its newline removed. A ValueError, KeyError or TypeError from
-    `parse` becomes one ValueError "<path>:<line>: ...".
+    only its newline removed. Bytes that are not UTF-8, and a ValueError,
+    KeyError, TypeError or RecursionError (JSON nested too deep) from
+    `parse`, become one ValueError "<path>:<line>: ...".
     """
-    with open(path, "r", encoding="utf-8") as f:
+    # surrogateescape lets a bad byte through as a lone surrogate, so it is
+    # reported on its own line, in line order, without reading ahead
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             if line.isspace():
                 continue
             try:
+                if not line.isascii():
+                    # raises UnicodeDecodeError at the line's first bad byte
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 record = parse(line.rstrip("\n"))
-            except (ValueError, KeyError, TypeError) as e:
+            except (ValueError, KeyError, TypeError, RecursionError) as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
             yield record
 

@@ -26,15 +26,6 @@ def as_vector(x, name: str = "vector") -> Array:
     return v
 
 
-def hadamard(a: Array, b: Array) -> Array:
-    """Elementwise product of two equal-length vectors."""
-    a = as_vector(a, "a")
-    b = as_vector(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: a has dim {a.shape[0]}, b has dim {b.shape[0]}")
-    return a * b
-
-
 def tanh_map(v: Array) -> Array:
     """Elementwise tanh, clamped so every output is strictly inside (-1, 1).
 

@@ -30,8 +30,7 @@ import numpy as np
 
 from .embedding import EmbeddingTable, embed_entry
 from .kb import KnowledgeGraph
-from .kernel import (Array, cross_entropy_loss, hadamard, masked_softmax,
-                     softmax, tanh_map)
+from .kernel import Array, cross_entropy_loss, masked_softmax, softmax, tanh_map
 from .spotting import SlotAssignment
 
 MODES = ("full", "bow", "blind", "q_only", "no_replication")
@@ -194,7 +193,7 @@ def forward(tokens: Sequence[str], visual_feature: Array, params: ModelParams,
         if u.shape != (params.dims.d,):
             raise ValueError(f"visual feature shape {u.shape}, want ({params.dims.d},)")
         u_eff = u
-        q = hadamard(t, u)
+        q = t * u
 
     memory = {}
     q_prime = q

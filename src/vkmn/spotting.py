@@ -29,20 +29,20 @@ class SpottedSet:
 
 @dataclass
 class SlotAssignment:
-    """Exactly M slots, each a triple id or None; mask marks real slots."""
+    """Exactly M slots, each a triple id or None (`mask` marks the real ones),
+    and the spotted set select_slots ranked them from (None if given by hand)."""
 
     slots: List[Optional[int]]
-    mask: List[bool]
+    spotted: Optional[SpottedSet] = None
 
     def __post_init__(self):
-        if len(self.slots) != len(self.mask):
-            raise ValueError("slots and mask length mismatch")
-        for s, m in zip(self.slots, self.mask):
-            if m != (s is not None):
-                raise ValueError("mask must be true exactly at non-null slots")
         real = [s for s in self.slots if s is not None]
         if len(real) != len(set(real)):
             raise ValueError("duplicate triple in slots")
+
+    @property
+    def mask(self) -> List[bool]:
+        return [s is not None for s in self.slots]
 
     @property
     def n_real(self) -> int:
@@ -112,14 +112,13 @@ def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -
     counts, sums = spotted.match_count, graph.frequency_sums
     chosen = heapq.nsmallest(m_slots, spotted.expanded,
                              key=lambda tid: (-counts.get(tid, 0), -sums[tid], tid))
-    slots: List[Optional[int]] = list(chosen) + [None] * (m_slots - len(chosen))
-    mask = [s is not None for s in slots]
-    return SlotAssignment(slots=slots, mask=mask)
+    return SlotAssignment(slots=chosen + [None] * (m_slots - len(chosen)), spotted=spotted)
 
 
 def spot_question(question_tokens: Sequence[str], graph: KnowledgeGraph,
                   m_slots: int = 8) -> SlotAssignment:
-    """Full retrieval pipeline for one (already lemmatized) question."""
+    """Full retrieval pipeline for one (already lemmatized) question; the
+    slots keep the stages behind them in `spotted`."""
     matched = match_entries(question_tokens, graph.entry_set())
     spotted = expand_neighborhood(spot_triples(matched, graph), graph)
     return select_slots(spotted, graph, m_slots)

@@ -1,10 +1,11 @@
 """End-to-end trainer, per-answer-type evaluation, gradient checking, and a
 seeded synthetic benchmark.
 
-Training is plain per-example SGD in seeded shuffled order; spotting and the
-frozen Phi rows are computed once per example up front. Evaluation buckets
-accuracy by answer type (yes/no, number, other) and the bucket accuracies
-recombine exactly to the overall number.
+Training is plain per-example SGD in seeded shuffled order over the memory
+`retrieve` gives each example once up front; evaluation and `vkmn query`
+answer through `answer_question`. Evaluation buckets accuracy by answer type
+(yes/no, number, other) and the bucket accuracies recombine exactly to the
+overall number.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .embedding import EmbeddingTable
 from .kb import (KnowledgeGraph, Triple, build_graph, lemmatize, read_answer,
                  read_question, read_records)
 from .kernel import Array, finite_diff_grad, max_relative_error, sgd_step
-from .model import (MODES, ModelDims, ModelParams, SlotFeatures, backward,
-                    forward, init_params, predict, slot_features)
+from .model import (MODES, ForwardTrace, ModelDims, ModelParams, SlotFeatures,
+                    backward, forward, init_params, predict, slot_features)
 from .spotting import SlotAssignment, spot_question
 
 ANSWER_TYPES = ("yesno", "number", "other")
@@ -94,13 +95,25 @@ def build_answer_vocab(train_set: Sequence[VqaExample], k: int) -> List[str]:
     return ranked[:k]
 
 
-def _prepare(example: VqaExample, graph: Optional[KnowledgeGraph],
-             table: Optional[EmbeddingTable], mode: str,
-             m_slots: int) -> Optional[SlotFeatures]:
+def retrieve(tokens: Sequence[str], graph: Optional[KnowledgeGraph],
+             table: Optional[EmbeddingTable], mode: str, m_slots: int
+             ) -> Tuple[Optional[SlotAssignment], Optional[SlotFeatures]]:
+    """One question's memory: its slots and their frozen Phi rows. q_only
+    has no memory and reads neither the graph nor the table."""
     if mode == "q_only":
-        return None
-    slots = spot_question(example.question_tokens, graph, m_slots)
-    return slot_features(slots, table, graph)
+        return None, None
+    slots = spot_question(tokens, graph, m_slots)
+    return slots, slot_features(slots, table, graph)
+
+
+def answer_question(tokens: Sequence[str], feature: Array, params: ModelParams,
+                    graph: Optional[KnowledgeGraph], table: Optional[EmbeddingTable],
+                    mode: str) -> Tuple[str, ForwardTrace, Optional[SlotAssignment]]:
+    """Retrieve, forward, argmax: the answer, the trace and the slots read."""
+    slots, feats = retrieve(tokens, graph, table, mode, params.dims.m_slots)
+    trace = forward(tokens, feature, params, mode, feats)
+    idx, _ = predict(trace.q_prime, params.matrices["W_o"])
+    return params.answer_vocab[idx], trace, slots
 
 
 def train(train_set: Sequence[VqaExample], graph: Optional[KnowledgeGraph],
@@ -125,7 +138,7 @@ def train(train_set: Sequence[VqaExample], graph: Optional[KnowledgeGraph],
         label = answer_index.get(ex.answer)
         if label is None:
             continue
-        feats = _prepare(ex, graph, table, config.mode, dims.m_slots)
+        _, feats = retrieve(ex.question_tokens, graph, table, config.mode, dims.m_slots)
         prepared.append((ex, label, feats))
 
     rng = np.random.default_rng(config.seed)
@@ -207,15 +220,13 @@ def evaluate(test_set: Sequence[VqaExample], params: ModelParams,
              mode: str, loss_curve: Optional[List[float]] = None) -> EvalReport:
     """Argmax prediction per example; gold answers outside the answer
     vocabulary are automatic misses."""
-    w_o = params.matrices["W_o"]
     counts = {t: 0 for t in ANSWER_TYPES}
     correct = {t: 0 for t in ANSWER_TYPES}
     for ex in test_set:
-        feats = _prepare(ex, graph, table, mode, params.dims.m_slots)
-        trace = forward(ex.question_tokens, ex.visual_feature, params, mode, feats)
-        idx, _ = predict(trace.q_prime, w_o)
+        answer, _, _ = answer_question(ex.question_tokens, ex.visual_feature,
+                                       params, graph, table, mode)
         counts[ex.answer_type] += 1
-        correct[ex.answer_type] += int(params.answer_vocab[idx] == ex.answer)
+        correct[ex.answer_type] += int(answer == ex.answer)
     return EvalReport(counts=counts, correct=correct,
                       loss_curve=list(loss_curve or []))
 
@@ -250,8 +261,7 @@ def gradient_check(config: TrainConfig, seed: int = 0) -> float:
             kind="transe")
 
     n_real = min(3, dims.m_slots)
-    slot_ids: List[Optional[int]] = list(range(n_real)) + [None] * (dims.m_slots - n_real)
-    slots = SlotAssignment(slots=slot_ids, mask=[s is not None for s in slot_ids])
+    slots = SlotAssignment(slots=list(range(n_real)) + [None] * (dims.m_slots - n_real))
     features = None if config.mode == "q_only" else slot_features(slots, table, graph)
 
     answers = [f"ans{i}" for i in range(dims.k_answers)]

@@ -113,7 +113,7 @@ def test_addressing_and_reading_algebra():
         j = seed % dims.m_slots
         tids = [None] * dims.m_slots
         tids[j] = 0
-        one = SlotAssignment(slots=tids, mask=[t is not None for t in tids])
+        one = SlotAssignment(slots=tids)
         tr = forward(["alpha", "near"], rng.standard_normal(dims.d), params, "full",
                      slot_features(one, table, graph))
         onehot = np.zeros(dims.m_slots)
@@ -125,7 +125,7 @@ def test_addressing_and_reading_algebra():
     # an all-masked memory contributes nothing: q' = q and the full-mode
     # logits coincide with the memoryless mode bit for bit
     params = init_params(["alpha", "near", "beta"], ["a0", "a1", "a2"], dims, seed=1)
-    empty = SlotAssignment(slots=[None] * dims.m_slots, mask=[False] * dims.m_slots)
+    empty = SlotAssignment(slots=[None] * dims.m_slots)
     feats = slot_features(empty, table, graph)
     u = rng.standard_normal(dims.d)
     tr_full = forward(["alpha", "near"], u, params, "full", feats)

@@ -122,6 +122,18 @@ def test_spot_dataset_rejects_string_question(tmp_path, capsys):
     assert "error:" in err and "qs.jsonl:2" in err and "array of strings" in err
 
 
+def test_spot_dataset_names_the_line_of_too_deep_json(tmp_path, capsys):
+    kb = _kb_file(tmp_path)
+    ds = tmp_path / "qs.jsonl"
+    ds.write_text(json.dumps({"question": ["dog", "eat"]}) + "\n"
+                  + "[" * 100_000 + "]" * 100_000 + "\n")
+    rc = main(["spot", "--kb", str(kb), "--dataset", str(ds)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") and "qs.jsonl:2: maximum recursion depth" in line
+               for line in err.splitlines())
+
+
 def test_spot_reads_stdin(tmp_path, capsys, monkeypatch):
     kb = _kb_file(tmp_path)
     monkeypatch.setattr("sys.stdin", io.StringIO("what do dogs eat\n\n"))
@@ -354,7 +366,39 @@ def test_query_rejects_wrong_feature_length(tmp_path, capsys):
     assert "feature length" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["NaN", "-Infinity", '"1"'])
+@pytest.mark.parametrize("mode", ["full", "bow", "blind", "q-only", "no-replication"])
+def test_query_answers_as_many_correctly_as_eval(tmp_path, capsys, monkeypatch, mode):
+    synth, vec = _synth(tmp_path), tmp_path / "vec.txt"
+    assert main(["train-transe", "--kb", str(synth / "kb.tsv"), "--out", str(vec),
+                 "--dim", "8", "--epochs", "50"]) == 0
+    common = ["--kb", str(synth / "kb.tsv"), "--embeddings", str(vec),
+              "--checkpoint", str(tmp_path / "model.bin"), "--mode", mode]
+    assert main(["train", "--dataset", str(synth / "train.jsonl"), *common,
+                 "--knowledge-dim", "8", "--word-dim", "8", "--epochs", "30"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(synth / "train.jsonl"), "--json", *common]) == 0
+    correct = json.loads(capsys.readouterr().out)["correct"]
+
+    # one query run per distinct feature, asking every question that has it
+    by_feature = {}
+    for ex in load_dataset(str(synth / "train.jsonl")):
+        by_feature.setdefault(ex.visual_feature.tobytes(), []).append(ex)
+    hits = 0
+    for i, examples in enumerate(by_feature.values()):
+        feature = tmp_path / f"feature{i}.json"
+        feature.write_text(json.dumps(examples[0].visual_feature.tolist()))
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "".join(" ".join(ex.question_tokens) + "\n" for ex in examples)))
+        assert main(["query", "--feature", str(feature), *common]) == 0
+        answers = [line[len("answer: "):] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("answer: ")]
+        assert len(answers) == len(examples)
+        hits += sum(answer == ex.answer for answer, ex in zip(answers, examples))
+    assert hits == sum(correct.values())
+
+
+@pytest.mark.parametrize("bad", ["NaN", "-Infinity", '"1"', pytest.param(
+    "[" * 100_000 + "]" * 100_000, id="too-deep")])
 def test_query_rejects_bad_feature_file(tmp_path, capsys, monkeypatch, bad):
     synth = _synth(tmp_path)
     ckpt = tmp_path / "model.bin"
@@ -370,7 +414,8 @@ def test_query_rejects_bad_feature_file(tmp_path, capsys, monkeypatch, bad):
     assert rc == 1
     captured = capsys.readouterr()
     assert "answer:" not in captured.out
-    assert "error:" in captured.err and "feat.json" in captured.err
+    assert any(line.startswith("error:") and "feat.json: " in line
+               for line in captured.err.splitlines())
 
 
 # ---------------------------------------------------------------- gradcheck / ablate

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from vkmn.kernel import (
     cross_entropy_loss,
     finite_diff_grad,
-    hadamard,
     log_sum_exp,
     masked_softmax,
     max_relative_error,
@@ -147,13 +146,6 @@ def test_tanh_map_bounds(v):
 def test_tanh_map_preserves_matrix_shape():
     m = np.arange(6.0).reshape(2, 3)
     assert tanh_map(m).shape == (2, 3)
-
-
-def test_hadamard_oracle():
-    out = hadamard(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert np.array_equal(out, np.array([3.0, 8.0]))
-    with pytest.raises(ValueError):
-        hadamard(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 def test_log_sum_exp_stable():

@@ -47,6 +47,14 @@ def test_read_records_names_the_line_of_any_parse_error(tmp_path, parse, want):
         list(read_records(path, parse))
 
 
+def test_read_records_reports_faults_in_line_order(tmp_path):
+    # a bad line before a byte that is not UTF-8, both in the first 8 KB read
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\nc\nx\xff\n")
+    with pytest.raises(ValueError, match=r"f\.txt:2: no c"):
+        list(read_records(path, lambda line: _reject(line, "c")))
+
+
 def test_read_records_streams(tmp_path):
     # a record is parsed when it is asked for, so `vkmn spot` prints as it reads
     path = tmp_path / "f.txt"
@@ -128,6 +136,36 @@ def test_load_dataset_rejects_empty_feature(tmp_path):
         load_dataset(path)
 
 
+_GOOD_LINES = {
+    load_kb: "dog\teat\tbone",
+    load_qa_pairs: '{"question": ["q"], "answer": "a"}',
+    load_dataset: '{"question": ["q"], "feature": [1], "answer": "a"}',
+    load_embeddings: "1 2",
+}
+
+
+@pytest.mark.parametrize("load", list(_GOOD_LINES))
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("filler", [0, 500])  # 500 lines of spaces: past the first 8 KB
+def test_invalid_utf8_names_the_line_of_the_bad_byte(tmp_path, load, newline, filler):
+    good = _GOOD_LINES[load]
+    lines = [good] + [" " * 20] * filler + [good[:1] + "\udcff" + good[1:], good]
+    path = tmp_path / "f.txt"
+    path.write_bytes(newline.join(lines).encode("utf-8", "surrogateescape"))
+    with pytest.raises(ValueError, match=rf"f\.txt:{filler + 2}: 'utf-8' codec can't "
+                                         r"decode byte 0xff in position 1: invalid start"):
+        load(path)
+
+
+@pytest.mark.parametrize("load", [load_qa_pairs, load_dataset])
+def test_too_deep_json_names_the_line(tmp_path, load):
+    path = tmp_path / "deep.jsonl"
+    path.write_text(_GOOD_LINES[load] + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(ValueError, match=r"deep\.jsonl:2: maximum recursion depth") as err:
+        load(path)
+    assert isinstance(err.value.__cause__, RecursionError)
+
+
 DIMS = ModelDims(d=3, d_j=2, d_e=2, d_w=2, m_slots=2, k_answers=2)
 
 
@@ -170,13 +208,14 @@ _records = st.fixed_dictionaries({}, optional={
 _json_lines = st.one_of(st.text(), _json.map(json.dumps), _records.map(json.dumps))
 
 
-def _text(lines):
-    return st.lists(st.one_of(lines, st.sampled_from(BLANK_LINES)), max_size=6).map(
-        "\n".join)
+def _file(lines):
+    """A file's bytes: up to 6 lines, each from `lines`, blank, or arbitrary bytes."""
+    line = st.one_of(lines, st.sampled_from(BLANK_LINES)).map(str.encode) | st.binary()
+    return st.lists(line, max_size=6).map(b"\n".join)
 
 
-def _loads_or_names_line(load, path, text, file_errors=None):
-    path.write_bytes(text.encode("utf-8"))
+def _loads_or_names_line(load, path, data, file_errors=None):
+    path.write_bytes(data)
     try:
         load(path)
     except ValueError as e:
@@ -186,22 +225,22 @@ def _loads_or_names_line(load, path, text, file_errors=None):
         assert re.match(where, str(e)), str(e)
 
 
-@given(_text(st.text() | st.text(alphabet="ab \t\r\x0b\x85\u2028")))
+@given(_file(st.text() | st.text(alphabet="ab \t\r\x0b\x85\u2028")))
 @settings(max_examples=200, deadline=None)
-def test_fuzz_load_kb(tmp_path_factory, text):
-    _loads_or_names_line(load_kb, tmp_path_factory.mktemp("f") / "kb.tsv", text)
+def test_fuzz_load_kb(tmp_path_factory, data):
+    _loads_or_names_line(load_kb, tmp_path_factory.mktemp("f") / "kb.tsv", data)
 
 
-@given(_text(_json_lines))
+@given(_file(_json_lines))
 @settings(max_examples=200, deadline=None)
-def test_fuzz_load_qa_pairs(tmp_path_factory, text):
-    _loads_or_names_line(load_qa_pairs, tmp_path_factory.mktemp("f") / "qa.jsonl", text)
+def test_fuzz_load_qa_pairs(tmp_path_factory, data):
+    _loads_or_names_line(load_qa_pairs, tmp_path_factory.mktemp("f") / "qa.jsonl", data)
 
 
-@given(_text(_json_lines))
+@given(_file(_json_lines))
 @settings(max_examples=200, deadline=None)
-def test_fuzz_load_dataset(tmp_path_factory, text):
-    _loads_or_names_line(load_dataset, tmp_path_factory.mktemp("f") / "data.jsonl", text)
+def test_fuzz_load_dataset(tmp_path_factory, data):
+    _loads_or_names_line(load_dataset, tmp_path_factory.mktemp("f") / "data.jsonl", data)
 
 
 _vector_lines = st.one_of(
@@ -213,10 +252,10 @@ _vector_lines = st.one_of(
                   lambda row: " ".join([row[0], *row[1]])))
 
 
-@given(_text(_vector_lines))
+@given(_file(_vector_lines))
 @settings(max_examples=300, deadline=None)
-def test_fuzz_load_embeddings(tmp_path_factory, text):
-    _loads_or_names_line(load_embeddings, tmp_path_factory.mktemp("f") / "vec.txt", text,
+def test_fuzz_load_embeddings(tmp_path_factory, data):
+    _loads_or_names_line(load_embeddings, tmp_path_factory.mktemp("f") / "vec.txt", data,
                          file_errors=r"no '<count> <dim>' header|header says -?\d+ rows, "
                                      r"found \d+")
 

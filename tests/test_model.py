@@ -45,7 +45,7 @@ def _setting():
         ]
     )
     table = make_bow_table(graph, dim=DIMS.d_e, seed=1)
-    slots = SlotAssignment(slots=[0, 1, None], mask=[True, True, False])
+    slots = SlotAssignment(slots=[0, 1, None])
     return graph, table, slots
 
 
@@ -156,7 +156,7 @@ def test_build_memory_layouts():
 
 def test_address_keys_single_slot_one_hot():
     graph, table, _ = _setting()
-    one = SlotAssignment(slots=[0, None, None], mask=[True, False, False])
+    one = SlotAssignment(slots=[0, None, None])
     tr = forward(["alpha"], np.ones(DIMS.d), _params(), "full",
                  _features(graph, table, one))
     assert len(tr.blocks) == 3
@@ -167,7 +167,7 @@ def test_address_keys_single_slot_one_hot():
 def test_address_keys_all_masked_zero():
     graph, table, _ = _setting()
     p = _params()
-    empty = SlotAssignment(slots=[None, None, None], mask=[False, False, False])
+    empty = SlotAssignment(slots=[None, None, None])
     tr = forward(["alpha"], np.ones(DIMS.d), p, "full", _features(graph, table, empty))
     # no slot to address: no block runs and the memory adds nothing
     assert tr.blocks == ()
@@ -181,7 +181,7 @@ def test_read_values_one_hot_bit_exact():
     for j in range(3):
         tids = [None, None, None]
         tids[j] = j
-        one = SlotAssignment(slots=tids, mask=[t is not None for t in tids])
+        one = SlotAssignment(slots=tids)
         tr = forward(["alpha"], np.ones(DIMS.d), p, "full", _features(graph, table, one))
         assert len(tr.blocks) == 3
         for b in range(len(tr.blocks)):

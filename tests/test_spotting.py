@@ -170,11 +170,7 @@ def test_select_slots_rejects_zero_slots():
 
 def test_slot_assignment_validation():
     with pytest.raises(ValueError):
-        SlotAssignment(slots=[1, None], mask=[True, True])
-    with pytest.raises(ValueError):
-        SlotAssignment(slots=[1, 1], mask=[True, True])
-    with pytest.raises(ValueError):
-        SlotAssignment(slots=[1], mask=[True, False])
+        SlotAssignment(slots=[1, 1])
 
 
 # ---------------------------------------------------------------- pipeline
