@@ -54,7 +54,10 @@ class EmbeddingTable:
     Construction copies the vectors into read-only matrices, one row per
     phrase in sorted-phrase order; `entity_vectors` and `relation_vectors`
     then map each phrase to its row, a view. `entity_matrix` and
-    `entity_row` let filtered ranking score every entity at once.
+    `entity_row` let filtered ranking score every entity at once. A table
+    made for a graph keeps it with `graph_rows`, the mask of its entities'
+    rows, so ranking against that graph does not rebuild the mask; `graph`
+    is None when the table lacks one of the graph's entities.
     """
 
     dim: int
@@ -62,8 +65,10 @@ class EmbeddingTable:
     relation_vectors: Dict[str, Array] = field(default_factory=dict)
     kind: str = "transe"
     history: Optional[TransEHistory] = field(default=None, compare=False)
+    graph: Optional[KnowledgeGraph] = field(default=None, repr=False, compare=False)
     entity_matrix: Array = field(init=False, repr=False, compare=False)
     entity_row: Dict[str, int] = field(init=False, repr=False, compare=False)
+    graph_rows: Optional[Array] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("transe", "bow"):
@@ -75,6 +80,12 @@ class EmbeddingTable:
         self.entity_matrix, self.entity_vectors = _read_only_rows(self.entity_vectors, self.dim)
         _, self.relation_vectors = _read_only_rows(self.relation_vectors, self.dim)
         self.entity_row = dict(zip(self.entity_vectors, range(len(self.entity_vectors))))
+        self.graph_rows = None
+        if self.graph is not None:
+            try:
+                self.graph_rows = _graph_rows(self, self.graph)
+            except KeyError:
+                self.graph = None
 
 
 def _read_only_rows(vectors: Dict[str, Array], dim: int):
@@ -232,6 +243,7 @@ def train_transe(graph: KnowledgeGraph, config: TransEConfig) -> EmbeddingTable:
         relation_vectors={r: rel[i].copy() for r, i in rel_idx.items()},
         kind="transe",
         history=history,
+        graph=graph,
     )
 
 
@@ -263,6 +275,11 @@ def _graph_rows(table: EmbeddingTable, graph: KnowledgeGraph) -> Array:
     return in_graph
 
 
+def _rows_of(table: EmbeddingTable, graph: KnowledgeGraph) -> Array:
+    """The table's own mask when graph is the one it was made for, else a new one."""
+    return table.graph_rows if graph is table.graph else _graph_rows(table, graph)
+
+
 def _filtered_rank(s: str, r: str, t: str, table: EmbeddingTable,
                    graph: KnowledgeGraph, in_graph: Array) -> int:
     if t not in graph.entities:
@@ -288,11 +305,11 @@ def rank_tail(s: str, r: str, t: str, table: EmbeddingTable, graph: KnowledgeGra
     candidates order by score descending, name ascending. Every entity is
     scored at once against table.entity_matrix.
     """
-    return _filtered_rank(s, r, t, table, graph, _graph_rows(table, graph))
+    return _filtered_rank(s, r, t, table, graph, _rows_of(table, graph))
 
 
 def mean_tail_rank(graph: KnowledgeGraph, table: EmbeddingTable) -> float:
-    in_graph = _graph_rows(table, graph)
+    in_graph = _rows_of(table, graph)
     ranks = [_filtered_rank(t.subject, t.relation, t.target, table, graph, in_graph)
              for t in graph.triples]
     return float(np.mean(ranks))
@@ -399,4 +416,4 @@ def load_embeddings(path: str, graph: Optional[KnowledgeGraph] = None,
     if len(seen) != count:
         raise ValueError(f"{path}: header says {count} rows, found {len(seen)}")
     return EmbeddingTable(dim=dim, entity_vectors=entity_vectors,
-                          relation_vectors=relation_vectors, kind=kind)
+                          relation_vectors=relation_vectors, kind=kind, graph=graph)

@@ -39,15 +39,15 @@ def tanh_map(v: Array) -> Array:
 def masked_softmax(scores: Array, mask: Array) -> Array:
     """Softmax over the unmasked entries only; masked entries are exactly 0.
 
-    scores is one row (M,) or a stack of rows (n, M) sharing the (M,) mask;
-    each row is normalised on its own, bit for bit as a 1-d call on it.
-    Masked slots are excluded before exponentiation (treated as score -inf),
-    not zeroed afterwards: a null slot with a zero key would otherwise soak
-    up e^0 worth of attention mass.
+    scores is one row (M,) or a stack of rows (..., M), any number of
+    leading axes, sharing the (M,) mask; each row is normalised on its own,
+    bit for bit as a 1-d call on it. Masked slots are excluded before
+    exponentiation (treated as score -inf), not zeroed afterwards: a null
+    slot with a zero key would otherwise soak up e^0 worth of attention mass.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim not in (1, 2):
-        raise ValueError(f"scores must be 1-d or 2-d, got shape {scores.shape}")
+    if scores.ndim < 1:
+        raise ValueError(f"scores must have at least one axis, got shape {scores.shape}")
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != scores.shape[-1:]:
         raise ValueError(f"mask length {mask.shape} does not match scores dim {scores.shape[-1:]}")

@@ -149,7 +149,9 @@ def slot_features(slots: SlotAssignment, table: EmbeddingTable,
 @dataclass
 class ForwardTrace:
     """Every intermediate of one forward pass. The memory fields hold one row
-    per block in `blocks`, or are None when the memory does not run."""
+    per block in `blocks`, or are None when the memory does not run. The
+    shapes are those of one image; a stack of B images puts a leading B axis
+    on u_eff, q, q_prime, logits, h_u, K, V, a, p, w and o."""
 
     mode: str
     known_ids: List[int]
@@ -176,43 +178,50 @@ class ForwardTrace:
 def forward(tokens: Sequence[str], visual_feature: Array, params: ModelParams,
             mode: str, features: Optional[SlotFeatures] = None,
             label: Optional[int] = None) -> ForwardTrace:
-    """Run the whole pipeline for one example, keeping every intermediate.
+    """Run the whole pipeline for one question, keeping every intermediate.
 
-    features carries the precomputed Phi rows for the chosen slots; None (or
-    an all-masked assignment) means the memory contributes nothing. q_only
+    visual_feature is one image (d,) or a stack of images (B, d) asked the
+    same question; a stack gives every image-dependent field a leading B
+    axis, and each row equals the one-image call on that image. features
+    carries the precomputed Phi rows for the chosen slots; None (or an
+    all-masked assignment) means the memory contributes nothing. q_only
     ignores features entirely and never touches them.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     t, m_bar, known_ids, n_tokens = _encode(tokens, params)
     if mode == "blind":
-        u_eff = t
-        q = t
+        # the image is never read; a stack only sets how many rows come out
+        lead = np.shape(visual_feature)[:-1]
+        u_eff = q = np.broadcast_to(t, lead + t.shape) if lead else t
     else:
-        u = np.asarray(visual_feature, dtype=np.float64)
-        if u.shape != (params.dims.d,):
-            raise ValueError(f"visual feature shape {u.shape}, want ({params.dims.d},)")
-        u_eff = u
-        q = t * u
+        u_eff = np.asarray(visual_feature, dtype=np.float64)
+        d = params.dims.d
+        if u_eff.ndim not in (1, 2) or u_eff.shape[-1] != d:
+            raise ValueError(f"visual feature shape {u_eff.shape}, want ({d},) or (B, {d})")
+        q = t * u_eff
 
+    # Matrix-vector products are written W @ x[..., None]: on one image it is
+    # the same BLAS call as W @ x, and on a stack it repeats that call per row.
     memory = {}
     q_prime = q
     if mode != "q_only" and features is not None and bool(features.mask.any()):
         n = 1 if mode == "no_replication" else len(BLOCKS)
         A = params.matrices["A"][:n]
-        h_u = tanh_map(params.matrices["W_u"] @ u_eff)
+        h_u = tanh_map((params.matrices["W_u"] @ u_eff[..., None])[..., 0])
         He = tanh_map(features.phi @ params.matrices["W_e"].T)
-        K = np.tensordot(KEY_ROLES[:n], He, axes=1) * h_u
-        V = np.tensordot(VALUE_ROLE[:n], He, axes=1) * h_u
-        a = q @ A
+        h = h_u[..., None, None, :]
+        K = np.tensordot(KEY_ROLES[:n], He, axes=1) * h
+        V = np.tensordot(VALUE_ROLE[:n], He, axes=1) * h
+        a = (q[..., None, None, :] @ A)[..., 0, :]
         p = masked_softmax((K @ a[..., None])[..., 0], features.mask)
-        w = (p[:, None, :] @ V)[:, 0]
+        w = (p[..., None, :] @ V)[..., 0, :]
         o = (A @ w[..., None])[..., 0]
-        q_prime = reduce(np.add, o, q)  # block by block, in BLOCKS order
+        q_prime = reduce(np.add, o.swapaxes(0, -2), q)  # block by block, in BLOCKS order
         memory = dict(blocks=BLOCKS[:n], h_u=h_u, phi=features.phi, He=He,
                       K=K, V=V, a=a, p=p, w=w, o=o)
 
-    logits = params.matrices["W_o"] @ q_prime
+    logits = (params.matrices["W_o"] @ q_prime[..., None])[..., 0]
     loss = cross_entropy_loss(logits, label) if label is not None else None
     return ForwardTrace(mode=mode, known_ids=known_ids, n_tokens=n_tokens,
                         m_bar=m_bar, t=t, u_eff=u_eff, q=q, q_prime=q_prime,

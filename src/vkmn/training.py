@@ -2,10 +2,12 @@
 seeded synthetic benchmark.
 
 Training is plain per-example SGD in seeded shuffled order over the memory
-`retrieve` gives each example once up front; evaluation and `vkmn query`
-answer through `answer_question`. Evaluation buckets accuracy by answer type
-(yes/no, number, other) and the bucket accuracies recombine exactly to the
-overall number.
+`retrieve` gives each distinct question once up front. `vkmn query` answers
+through `answer_question`: retrieve, forward, argmax. Evaluation gives the
+same answers in fewer calls: it groups its examples by question, retrieves
+each distinct question once and runs that question's images through one
+forward pass as a stack. It buckets accuracy by answer type (yes/no, number,
+other) and the bucket accuracies recombine exactly to the overall number.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .kb import (KnowledgeGraph, Triple, build_graph, lemmatize, read_answer,
                  read_question, read_records)
 from .kernel import Array, finite_diff_grad, max_relative_error, sgd_step
 from .model import (MODES, ForwardTrace, ModelDims, ModelParams, SlotFeatures,
-                    backward, forward, init_params, predict, slot_features)
+                    backward, forward, init_params, slot_features)
 from .spotting import SlotAssignment, spot_question
 
 ANSWER_TYPES = ("yesno", "number", "other")
@@ -112,8 +114,7 @@ def answer_question(tokens: Sequence[str], feature: Array, params: ModelParams,
     """Retrieve, forward, argmax: the answer, the trace and the slots read."""
     slots, feats = retrieve(tokens, graph, table, mode, params.dims.m_slots)
     trace = forward(tokens, feature, params, mode, feats)
-    idx, _ = predict(trace.q_prime, params.matrices["W_o"])
-    return params.answer_vocab[idx], trace, slots
+    return params.answer_vocab[int(np.argmax(trace.logits))], trace, slots
 
 
 def train(train_set: Sequence[VqaExample], graph: Optional[KnowledgeGraph],
@@ -133,13 +134,16 @@ def train(train_set: Sequence[VqaExample], graph: Optional[KnowledgeGraph],
     params = init_params(vocab, answers, dims, seed=config.seed)
     answer_index = {a: i for i, a in enumerate(answers)}
 
+    memory: Dict[Tuple[str, ...], Optional[SlotFeatures]] = {}
     prepared = []
     for ex in train_set:
         label = answer_index.get(ex.answer)
         if label is None:
             continue
-        _, feats = retrieve(ex.question_tokens, graph, table, config.mode, dims.m_slots)
-        prepared.append((ex, label, feats))
+        key = tuple(ex.question_tokens)
+        if key not in memory:
+            memory[key] = retrieve(ex.question_tokens, graph, table, config.mode, dims.m_slots)[1]
+        prepared.append((ex, label, memory[key]))
 
     rng = np.random.default_rng(config.seed)
     curve: List[float] = []
@@ -218,15 +222,25 @@ def format_report_table(rows: Sequence[Tuple[str, "EvalReport"]]) -> str:
 def evaluate(test_set: Sequence[VqaExample], params: ModelParams,
              graph: Optional[KnowledgeGraph], table: Optional[EmbeddingTable],
              mode: str, loss_curve: Optional[List[float]] = None) -> EvalReport:
-    """Argmax prediction per example; gold answers outside the answer
-    vocabulary are automatic misses."""
+    """Argmax prediction per example, as answer_question gives it; gold
+    answers outside the answer vocabulary are automatic misses. Examples are
+    grouped by question: each distinct question is retrieved once, and its
+    images go through one forward pass as a (B, d) stack."""
+    by_question: Dict[Tuple[str, ...], List[VqaExample]] = {}
+    for ex in test_set:
+        by_question.setdefault(tuple(ex.question_tokens), []).append(ex)
     counts = {t: 0 for t in ANSWER_TYPES}
     correct = {t: 0 for t in ANSWER_TYPES}
-    for ex in test_set:
-        answer, _, _ = answer_question(ex.question_tokens, ex.visual_feature,
-                                       params, graph, table, mode)
-        counts[ex.answer_type] += 1
-        correct[ex.answer_type] += int(answer == ex.answer)
+    for group in by_question.values():
+        tokens = group[0].question_tokens
+        _, feats = retrieve(tokens, graph, table, mode, params.dims.m_slots)
+        # one image goes through as (d,), the cheaper path for the same row
+        images = (np.stack([ex.visual_feature for ex in group]) if len(group) > 1
+                  else group[0].visual_feature)
+        logits = forward(tokens, images, params, mode, feats).logits
+        for ex, idx in zip(group, np.argmax(logits.reshape(len(group), -1), axis=1)):
+            counts[ex.answer_type] += 1
+            correct[ex.answer_type] += int(params.answer_vocab[idx] == ex.answer)
     return EvalReport(counts=counts, correct=correct,
                       loss_curve=list(loss_curve or []))
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vkmn import embedding
 from vkmn.embedding import (
     EmbeddingTable,
     TransEConfig,
@@ -284,6 +285,47 @@ def test_rank_tail_equals_sorted_oracle(case):
     got = [rank_tail(t.subject, t.relation, t.target, table, graph) for t in graph.triples]
     assert got == oracle
     assert mean_tail_rank(graph, table) == float(np.mean(oracle))
+    # a table made for one graph ranks exactly against any graph: its own,
+    # one with fewer entities, and one with more
+    part = build_graph(graph.triples[:1 + len(graph.triples) // 2])
+    for made_for in (graph, part):
+        paired = EmbeddingTable(dim=table.dim, entity_vectors=table.entity_vectors,
+                                relation_vectors=table.relation_vectors, graph=made_for)
+        assert paired.graph is made_for
+        for ranked in (graph, part):
+            want = [_oracle_rank(t.subject, t.relation, t.target, table, ranked)
+                    for t in ranked.triples]
+            assert [rank_tail(t.subject, t.relation, t.target, paired, ranked)
+                    for t in ranked.triples] == want
+            assert mean_tail_rank(ranked, paired) == float(np.mean(want))
+
+
+def test_tables_made_for_a_graph_keep_its_entity_rows(tmp_path, monkeypatch):
+    g = _chain_graph(8, 2)
+    trained = train_transe(g, TransEConfig(dim=4, epochs=2, seed=1))
+    path = str(tmp_path / "vec.txt")
+    save_embeddings(trained, path)
+    loaded = load_embeddings(path, graph=g)
+    assert trained.graph is g and loaded.graph is g
+    assert load_embeddings(path).graph is None
+    ranks = [rank_tail(t.subject, t.relation, t.target, trained, g) for t in g.triples]
+
+    def rebuilt(*args):
+        raise AssertionError("the entity-row mask was rebuilt")
+
+    monkeypatch.setattr(embedding, "_graph_rows", rebuilt)
+    for table in (trained, loaded):
+        assert [rank_tail(t.subject, t.relation, t.target, table, g)
+                for t in g.triples] == ranks
+        assert mean_tail_rank(g, table) == float(np.mean(ranks))
+    monkeypatch.undo()
+    # a graph with an entity the file lacks: the table keeps no mask for it,
+    # and ranking against it names the missing entity, as without a graph
+    bigger = build_graph(g.triples + [Triple("e0", "r0", "ghost")])
+    partial = load_embeddings(path, graph=bigger)
+    assert partial.graph is None and partial.graph_rows is None
+    with pytest.raises(KeyError, match="ghost"):
+        rank_tail("e0", "r0", "e1", partial, bigger)
 
 
 def test_rank_tail_missing_entity_names_it():

@@ -102,13 +102,13 @@ def test_masked_softmax_properties(pair):
 
 
 @given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.integers(min_value=1, max_value=10).flatmap(
+    # a stack of shape (n, M) or (B, n, M) and its (M,) mask
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=2).flatmap(
+        lambda lead: st.integers(min_value=1, max_value=10).flatmap(
             lambda m: st.tuples(
-                st.lists(
-                    st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False),
-                             min_size=m, max_size=m),
-                    min_size=n, max_size=n),
+                st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False),
+                         min_size=math.prod(lead) * m, max_size=math.prod(lead) * m).map(
+                    lambda xs: np.reshape(xs, (*lead, m))),
                 st.lists(st.booleans(), min_size=m, max_size=m).filter(any),
             )
         )
@@ -121,7 +121,7 @@ def test_masked_softmax_rows_match_one_d_calls(pair):
     scores, mask = np.asarray(pair[0]), np.asarray(pair[1], dtype=bool)
     p = masked_softmax(scores, mask)
     assert p.shape == scores.shape
-    for row, p_row in zip(scores, p):
+    for row, p_row in zip(scores.reshape(-1, mask.size), p.reshape(-1, mask.size)):
         assert p_row.tobytes() == masked_softmax(row, mask).tobytes()
     with pytest.raises(ValueError):
         masked_softmax(scores, np.append(mask, True))

@@ -221,6 +221,10 @@ def test_forward_rejects_unknown_mode():
 def test_forward_rejects_bad_feature_shape():
     with pytest.raises(ValueError):
         forward(["alpha"], np.zeros(DIMS.d + 1), _params(), "full")
+    # a stack is (B, d): no other width, no deeper stack, no scalar
+    for bad in (np.zeros((2, DIMS.d + 1)), np.zeros((2, 2, DIMS.d)), np.zeros(())):
+        with pytest.raises(ValueError, match="visual feature shape"):
+            forward(["alpha"], bad, _params(), "full")
 
 
 def test_forward_blind_skips_visual_validation():
@@ -437,3 +441,50 @@ def test_forward_loss_finite_every_mode(mode, seed):
     tr = forward(["alpha", "near", "beta"], u, p, mode, feats, label=seed % 2)
     assert math.isfinite(tr.loss)
     assert tr.loss >= 0.0
+
+
+# ---------------------------------------------------------------- image stacks
+
+_MEMORIES = {
+    "none": None,
+    "all-masked": SlotAssignment(slots=[None, None, None]),
+    "partly masked": SlotAssignment(slots=[0, None, 2]),
+}
+
+
+def _one_image_shapes(n_blocks):
+    d, d_j, m = DIMS.d, DIMS.d_j, DIMS.m_slots
+    return {"u_eff": (d,), "q": (d,), "q_prime": (d,), "logits": (DIMS.k_answers,),
+            "h_u": (d_j,), "K": (n_blocks, m, d_j), "V": (n_blocks, m, d_j),
+            "a": (n_blocks, d_j), "p": (n_blocks, m), "w": (n_blocks, d_j),
+            "o": (n_blocks, DIMS.d)}
+
+
+@given(st.sampled_from(MODES), st.sampled_from(sorted(_MEMORIES)),
+       st.integers(min_value=1, max_value=6).flatmap(lambda b: st.lists(
+           st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),
+                    min_size=DIMS.d, max_size=DIMS.d), min_size=b, max_size=b)),
+       st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=150, deadline=None)
+def test_image_stack_rows_equal_one_image_calls(mode, memory, images, seed):
+    graph, table, _ = _setting()
+    slots = _MEMORIES[memory]
+    feats = None if slots is None else slot_features(slots, table, graph)
+    p = _params(seed=seed)
+    tokens = ["alpha", "near", "beta"]
+    stack = forward(tokens, np.array(images), p, mode, feats)
+    b = len(images)
+    assert stack.logits.shape == (b, DIMS.k_answers)
+    for i, u in enumerate(images):
+        one = forward(tokens, np.array(u), p, mode, feats)
+        assert np.max(np.abs(stack.logits[i] - one.logits)) <= 1e-12
+        assert np.argmax(stack.logits[i]) == np.argmax(one.logits)
+        # one image keeps the one-image shapes; a stack adds a leading axis
+        for name, shape in _one_image_shapes(len(one.blocks)).items():
+            if name in ("u_eff", "q", "q_prime", "logits") or one.blocks:
+                assert getattr(one, name).shape == shape, name
+                assert getattr(stack, name).shape == (b, *shape), name
+            else:
+                assert getattr(one, name) is None and getattr(stack, name) is None
+    assert stack.blocks == one.blocks
+    assert one.t.shape == (DIMS.d,) and stack.t.shape == (DIMS.d,)

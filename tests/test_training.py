@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkmn.embedding import TransEConfig, train_transe
+from vkmn import training
+from vkmn.embedding import TransEConfig, make_bow_table, train_transe
 from vkmn.model import MODES, ModelDims, init_params
 from vkmn.spotting import spot_question
 from vkmn.training import (
@@ -19,6 +20,7 @@ from vkmn.training import (
     EvalReport,
     TrainConfig,
     VqaExample,
+    answer_question,
     build_answer_vocab,
     classify_answer_type,
     evaluate,
@@ -187,6 +189,51 @@ def test_evaluate_is_pure():
     r1 = evaluate(_bucket_set(), params, None, None, "q_only")
     r2 = evaluate(_bucket_set(), params, None, None, "q_only")
     assert r1.counts == r2.counts and r1.correct == r2.correct
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluate_retrieves_once_per_distinct_question(mode, monkeypatch):
+    """Every question of the seed task asked about 3 images, shuffled, the
+    gold answer of one image in three taken from another question: train and
+    evaluate each retrieve once per distinct question, and evaluate's stacked
+    forward counts what answer_question finds example by example."""
+    task = make_synthetic_task(seed=7, dim=8)
+    rng = np.random.default_rng(3)
+    n = len(task.train)
+    asked = [VqaExample(list(ex.question_tokens), rng.standard_normal(8),
+                        task.train[(i + 7 * (k == 2)) % n].answer)
+             for i, ex in enumerate(task.train) for k in range(3)]
+    asked = [asked[i] for i in rng.permutation(len(asked))]
+    distinct = {tuple(ex.question_tokens) for ex in asked}
+    table = (make_bow_table(task.graph, 6, seed=7) if mode == "bow"
+             else train_transe(task.graph, TransEConfig(dim=6, epochs=20, seed=7)))
+    dims = ModelDims(d=8, d_j=8, d_e=6, d_w=6, m_slots=4, k_answers=50)
+
+    calls = []
+    spot = training.spot_question
+
+    def counted(tokens, *args):
+        calls.append(tuple(tokens))
+        return spot(tokens, *args)
+
+    monkeypatch.setattr(training, "spot_question", counted)
+    want_calls = 0 if mode == "q_only" else len(distinct)
+    params, _ = train(asked, task.graph, table,
+                      TrainConfig(lr=0.05, epochs=3, seed=7, mode=mode, dims=dims))
+    assert len(calls) == len(set(calls)) == want_calls
+    calls.clear()
+    report = evaluate(asked, params, task.graph, table, mode)
+    assert len(calls) == len(set(calls)) == want_calls
+
+    counts = {t: 0 for t in ANSWER_TYPES}
+    correct = {t: 0 for t in ANSWER_TYPES}
+    for ex in asked:
+        answer, _, _ = answer_question(ex.question_tokens, ex.visual_feature,
+                                       params, task.graph, table, mode)
+        counts[ex.answer_type] += 1
+        correct[ex.answer_type] += int(answer == ex.answer)
+    assert report.counts == counts
+    assert report.correct == correct
 
 
 def test_report_table_structure():
