@@ -33,7 +33,8 @@ def tanh_map(v: Array) -> Array:
     round to exactly +-1.0 in float64.
     """
     out = np.tanh(np.asarray(v, dtype=np.float64))
-    return np.clip(out, -_ONE_MINUS, _ONE_MINUS)
+    # np.clip's bits without its Python wrapper
+    return np.minimum(np.maximum(out, -_ONE_MINUS), _ONE_MINUS)
 
 
 def masked_softmax(scores: Array, mask: Array) -> Array:
@@ -44,6 +45,7 @@ def masked_softmax(scores: Array, mask: Array) -> Array:
     bit for bit as a 1-d call on it. Masked slots are excluded before
     exponentiation (treated as score -inf), not zeroed afterwards: a null
     slot with a zero key would otherwise soak up e^0 worth of attention mass.
+    A NaN or infinite live score makes its whole row NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim < 1:
@@ -53,12 +55,12 @@ def masked_softmax(scores: Array, mask: Array) -> Array:
         raise ValueError(f"mask length {mask.shape} does not match scores dim {scores.shape[-1:]}")
     if not mask.any():
         raise ValueError("masked_softmax requires at least one unmasked slot")
-    out = np.zeros_like(scores)
-    live = scores[..., mask]
-    live = np.exp(live - live.max(axis=-1, keepdims=True))
+    # a masked slot's -inf exponentiates to exactly 0, which adds nothing to
+    # the normaliser, so the bits are those of a softmax over the live slots
+    e = np.where(mask, scores, -np.inf)
+    e = np.exp(e - e.max(axis=-1, keepdims=True))
     # cumsum adds each row left to right, as a 1-d call does; a stacked sum need not
-    out[..., mask] = live / np.cumsum(live, axis=-1)[..., -1:]
-    return out
+    return e / np.cumsum(e, axis=-1)[..., -1:]
 
 
 def softmax(scores: Array) -> Array:

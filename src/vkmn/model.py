@@ -211,8 +211,8 @@ def forward(tokens: Sequence[str], visual_feature: Array, params: ModelParams,
         h_u = tanh_map((params.matrices["W_u"] @ u_eff[..., None])[..., 0])
         He = tanh_map(features.phi @ params.matrices["W_e"].T)
         h = h_u[..., None, None, :]
-        K = np.tensordot(KEY_ROLES[:n], He, axes=1) * h
-        V = np.tensordot(VALUE_ROLE[:n], He, axes=1) * h
+        K = (KEY_ROLES[:n] @ He.reshape(3, -1)).reshape(n, *He.shape[1:]) * h
+        V = (VALUE_ROLE[:n] @ He.reshape(3, -1)).reshape(n, *He.shape[1:]) * h
         a = (q[..., None, None, :] @ A)[..., 0, :]
         p = masked_softmax((K @ a[..., None])[..., 0], features.mask)
         w = (p[..., None, :] @ V)[..., 0, :]
@@ -231,16 +231,14 @@ def forward(tokens: Sequence[str], visual_feature: Array, params: ModelParams,
 def backward(trace: ForwardTrace, label: int, params: ModelParams) -> Dict[str, Array]:
     """Exact gradients of the cross-entropy loss for every trainable matrix.
 
-    Phi is a constant. Matrices a mode never touches, and the rows of A
-    past the blocks it runs, come back as exact zeros.
+    Phi is a constant. Each gradient is built once; matrices a mode never
+    touches, and the rows of A past the blocks it runs, are exact zeros.
     """
-    grads = {name: np.zeros_like(mat) for name, mat in params.matrices.items()}
     dlogits = softmax(trace.logits)
     dlogits[label] -= 1.0
-    grads["W_o"] += np.outer(dlogits, trace.q_prime)
-    dq_prime = params.matrices["W_o"].T @ dlogits
+    grads = {"W_o": dlogits[:, None] * trace.q_prime}
+    dq = dq_prime = params.matrices["W_o"].T @ dlogits
 
-    dq = dq_prime.copy()
     du_eff = None
     if trace.blocks:
         n = len(trace.blocks)
@@ -254,18 +252,20 @@ def backward(trace: ForwardTrace, label: int, params: ModelParams) -> Dict[str, 
         dz = trace.p * (dp - (trace.p * dp).sum(axis=1, keepdims=True))
         da = (dz[:, None, :] @ trace.K)[:, 0]
         dK = dz[..., None] * trace.a[:, None, :]
-        grads["A"][:n] = (dq_prime[:, None] * trace.w[:, None, :]
-                          + trace.q[:, None] * da[:, None, :])
-        dq += (A @ da[..., None])[..., 0].sum(axis=0)
+        gA = dq_prime[:, None] * trace.w[:, None, :] + trace.q[:, None] * da[:, None, :]
+        grads["A"] = (gA if n == len(BLOCKS) else  # rows past the blocks run stay 0
+                      np.concatenate((gA, np.zeros((len(BLOCKS) - n,) + gA.shape[1:]))))
+        dq = dq_prime + (A @ da[..., None])[..., 0].sum(axis=0)
         # K = KEY_ROLES Psi, V = VALUE_ROLE Psi with Psi = He h_u per role:
         # sum each role's gradient over the blocks that read it
-        dPsi = (np.tensordot(KEY_ROLES[:n].T, dK, axes=1)
-                + np.tensordot(VALUE_ROLE[:n].T, dV, axes=1))
+        shape = trace.He.shape
+        dPsi = ((KEY_ROLES[:n].T @ dK.reshape(n, -1))
+                + (VALUE_ROLE[:n].T @ dV.reshape(n, -1))).reshape(shape)
         dh_u = (dPsi * trace.He).sum(axis=(0, 1))
         dpre = dPsi * trace.h_u * (1.0 - trace.He * trace.He)
-        grads["W_e"] += np.tensordot(dpre, trace.phi, axes=([0, 1], [0, 1]))
+        grads["W_e"] = dpre.reshape(-1, shape[-1]).T @ trace.phi.reshape(-1, trace.phi.shape[-1])
         da_u = dh_u * (1.0 - trace.h_u * trace.h_u)
-        grads["W_u"] += np.outer(da_u, trace.u_eff)
+        grads["W_u"] = da_u[:, None] * trace.u_eff
         du_eff = params.matrices["W_u"].T @ da_u
 
     if trace.mode == "blind":
@@ -275,13 +275,13 @@ def backward(trace: ForwardTrace, label: int, params: ModelParams) -> Dict[str, 
         dt = dq * trace.u_eff  # q = t * u; the visual feature is an input
 
     dz_t = dt * (1.0 - trace.t * trace.t)
-    grads["W_t"] += np.outer(dz_t, trace.m_bar)
-    dm_bar = params.matrices["W_t"].T @ dz_t
-    per_token = dm_bar / trace.n_tokens
-    wt_grad = grads["word_table"]
+    grads["W_t"] = dz_t[:, None] * trace.m_bar
+    per_token = (params.matrices["W_t"].T @ dz_t) / trace.n_tokens
+    grads["word_table"] = wt_grad = np.zeros_like(params.matrices["word_table"])
     for tid in trace.known_ids:
         wt_grad[tid] += per_token
-    return grads
+    return {name: grads[name] if name in grads else np.zeros_like(params.matrices[name])
+            for name in MATRIX_ORDER}
 
 
 # --- checkpointing -------------------------------------------------------------

@@ -226,12 +226,18 @@ def evaluate(test_set: Sequence[VqaExample], params: ModelParams,
     answers outside the answer vocabulary are automatic misses. Examples are
     grouped by question: each distinct question is retrieved once, and its
     images go through one forward pass as a (B, d) stack."""
-    by_question: Dict[Tuple[str, ...], List[VqaExample]] = {}
-    for ex in test_set:
-        by_question.setdefault(tuple(ex.question_tokens), []).append(ex)
+    by_question: Dict[Tuple[str, ...], List[int]] = {}
+    for i, ex in enumerate(test_set):
+        by_question.setdefault(tuple(ex.question_tokens), []).append(i)
     counts = {t: 0 for t in ANSWER_TYPES}
     correct = {t: 0 for t in ANSWER_TYPES}
-    for group in by_question.values():
+    d = params.dims.d
+    for indices in by_question.values():
+        group = [test_set[i] for i in indices]
+        shapes = [ex.visual_feature.shape for ex in group]
+        if len(set(shapes)) > 1:  # np.stack would fail; name an image that is not (d,)
+            i, shape = next((i, s) for i, s in zip(indices, shapes) if s != (d,))
+            raise ValueError(f"test_set[{i}]: visual feature shape {shape}, want ({d},)")
         tokens = group[0].question_tokens
         _, feats = retrieve(tokens, graph, table, mode, params.dims.m_slots)
         # one image goes through as (d,), the cheaper path for the same row

@@ -129,6 +129,59 @@ def test_masked_softmax_rows_match_one_d_calls(pair):
         masked_softmax(scores, mask[:-1])
 
 
+def _masked_softmax_by_index(scores, mask):
+    """masked_softmax as a boolean scatter into a zero-filled output."""
+    out = np.zeros_like(scores)
+    live = scores[..., mask]
+    live = np.exp(live - live.max(axis=-1, keepdims=True))
+    out[..., mask] = live / np.cumsum(live, axis=-1)[..., -1:]
+    return out
+
+
+@given(
+    # one row (M,) or a stack (B, n, M) of any finite scores, and its mask
+    st.sampled_from([(), (1, 1), (2, 3), (4, 1)]).flatmap(
+        lambda lead: st.integers(min_value=1, max_value=12).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.one_of(st.floats(min_value=-50, max_value=50),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=math.prod(lead) * m, max_size=math.prod(lead) * m).map(
+                    lambda xs: np.reshape(np.asarray(xs, dtype=np.float64), (*lead, m))),
+                st.lists(st.booleans(), min_size=m, max_size=m).filter(any),
+            )
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+@example(pair=([1e308, -1e308, 0.0, -0.0], [True, True, False, True]))
+@example(pair=([0.1, 4.5, -3.6, 4.5, -1.9, -0.8, 3.3, -0.9, 0.5, 9.0],
+               [True] * 9 + [False]))  # a pairwise sum differs from cumsum here
+@example(pair=([[[0.0] * 10, [0.0] * 6 + [48.0, 11.0, 31.5, 0.0]]],
+               [False] + [True] * 8 + [False]))
+def test_masked_softmax_bits_equal_boolean_index_form(pair):
+    scores, mask = np.asarray(pair[0]), np.asarray(pair[1], dtype=bool)
+    with np.errstate(over="ignore"):  # -1e308 - 1e308 is -inf, exp'd to 0
+        got, want = masked_softmax(scores, mask), _masked_softmax_by_index(scores, mask)
+    assert got.tobytes() == want.tobytes()
+
+
+_ONE_MINUS = np.nextafter(1.0, 0.0)
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False),
+                          st.sampled_from([19.0, -19.0, 19.5, -19.5, math.inf, -math.inf,
+                                           -0.0, 0.0, 5e-324, -5e-324])),
+                min_size=1, max_size=24),
+       st.sampled_from([(-1,), (2, -1), (2, 1, -1)]))
+@settings(max_examples=300, deadline=None)
+@example(values=[19.0, -19.0, math.inf, -math.inf, -0.0, 0.0], shape=(-1,))
+def test_tanh_map_bits_equal_clip_form(values, shape):
+    v = np.asarray(values * math.prod(shape[:-1]), dtype=np.float64).reshape(shape)
+    got = tanh_map(v)
+    assert got.shape == v.shape
+    assert got.tobytes() == np.clip(np.tanh(v), -_ONE_MINUS, _ONE_MINUS).tobytes()
+
+
 def test_tanh_map_strictly_inside_unit_interval():
     x = tanh_map(np.array([1e9, -1e9, 0.0]))
     assert x[0] < 1.0

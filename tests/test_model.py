@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from vkmn.embedding import EmbeddingTable, embed_entry, make_bow_table
 from vkmn.kb import Triple, build_graph
-from vkmn.kernel import finite_diff_grad, max_relative_error
+from vkmn.kernel import finite_diff_grad, max_relative_error, softmax
 from vkmn.model import (
     BLOCKS,
+    KEY_ROLES,
     MATRIX_ORDER,
     MODES,
+    VALUE_ROLE,
     ModelDims,
     ModelParams,
     backward,
@@ -342,6 +344,116 @@ def test_backward_word_rows_sparse():
     for i in range(len(VOCAB)):
         if i != touched:
             assert np.array_equal(g[i], np.zeros(DIMS.d_w))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_backward_returns_fresh_full_size_gradients(mode):
+    # sgd_step and the benchmark's gradient check read every name at full
+    # shape, and an update must never write through into a parameter
+    graph, table, slots = _setting()
+    p = _params(seed=3)
+    for feats in (None, _features(graph, table, slots)):
+        tr = forward(["alpha", "near", "beta"], np.linspace(-1.0, 1.0, DIMS.d), p, mode,
+                     feats, label=1)
+        g = backward(tr, 1, p)
+        assert tuple(g) == MATRIX_ORDER
+        for name, grad in g.items():
+            assert grad.dtype == np.float64, name
+            assert grad.shape == p.matrices[name].shape, name
+            others = list(p.matrices.values()) + [v for k, v in g.items() if k != name]
+            assert not any(np.shares_memory(grad, other) for other in others), name
+
+
+# ---------------------------------------------------------------- bit identity
+# The step's products are reshape + @ where they were np.tensordot; these
+# compare them with the old forms by equality, not within a tolerance.
+
+@given(st.sampled_from([1, 3]), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=1, max_value=33), st.integers(min_value=1, max_value=17),
+       st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=150, deadline=None)
+def test_incidence_products_equal_tensordot(n, m, d_j, d_e, seed):
+    rng = np.random.default_rng(seed)
+    He = np.tanh(rng.standard_normal((3, m, d_j)) * 10.0 ** rng.uniform(-3, 1))
+    for roles in (KEY_ROLES, VALUE_ROLE):
+        assert np.array_equal((roles[:n] @ He.reshape(3, -1)).reshape(n, m, d_j),
+                              np.tensordot(roles[:n], He, axes=1))
+    dK, dV = rng.standard_normal((2, n, m, d_j)) * 10.0 ** rng.uniform(-6, 2)
+    assert np.array_equal(
+        ((KEY_ROLES[:n].T @ dK.reshape(n, -1))
+         + (VALUE_ROLE[:n].T @ dV.reshape(n, -1))).reshape(3, m, d_j),
+        np.tensordot(KEY_ROLES[:n].T, dK, axes=1) + np.tensordot(VALUE_ROLE[:n].T, dV, axes=1))
+    dpre, phi = rng.standard_normal((3, m, d_j)), rng.standard_normal((3, m, d_e))
+    assert np.array_equal(dpre.reshape(-1, d_j).T @ phi.reshape(-1, d_e),
+                          np.tensordot(dpre, phi, axes=([0, 1], [0, 1])))
+
+
+def _backward_by_tensordot(trace, label, params):
+    """backward as zero-filled buffers, += and np.tensordot."""
+    grads = {name: np.zeros_like(mat) for name, mat in params.matrices.items()}
+    dlogits = softmax(trace.logits)
+    dlogits[label] -= 1.0
+    grads["W_o"] += np.outer(dlogits, trace.q_prime)
+    dq_prime = params.matrices["W_o"].T @ dlogits
+    dq = dq_prime.copy()
+    du_eff = None
+    if trace.blocks:
+        n = len(trace.blocks)
+        A = params.matrices["A"][:n]
+        dw = dq_prime @ A
+        dp = (trace.V @ dw[..., None])[..., 0]
+        dV = trace.p[..., None] * dw[:, None, :]
+        dz = trace.p * (dp - (trace.p * dp).sum(axis=1, keepdims=True))
+        da = (dz[:, None, :] @ trace.K)[:, 0]
+        dK = dz[..., None] * trace.a[:, None, :]
+        grads["A"][:n] = (dq_prime[:, None] * trace.w[:, None, :]
+                          + trace.q[:, None] * da[:, None, :])
+        dq += (A @ da[..., None])[..., 0].sum(axis=0)
+        dPsi = (np.tensordot(KEY_ROLES[:n].T, dK, axes=1)
+                + np.tensordot(VALUE_ROLE[:n].T, dV, axes=1))
+        dh_u = (dPsi * trace.He).sum(axis=(0, 1))
+        dpre = dPsi * trace.h_u * (1.0 - trace.He * trace.He)
+        grads["W_e"] += np.tensordot(dpre, trace.phi, axes=([0, 1], [0, 1]))
+        da_u = dh_u * (1.0 - trace.h_u * trace.h_u)
+        grads["W_u"] += np.outer(da_u, trace.u_eff)
+        du_eff = params.matrices["W_u"].T @ da_u
+    if trace.mode == "blind":
+        dt = dq if du_eff is None else dq + du_eff
+    else:
+        dt = dq * trace.u_eff
+    dz_t = dt * (1.0 - trace.t * trace.t)
+    grads["W_t"] += np.outer(dz_t, trace.m_bar)
+    per_token = (params.matrices["W_t"].T @ dz_t) / trace.n_tokens
+    for tid in trace.known_ids:
+        grads["word_table"][tid] += per_token
+    return grads
+
+
+_BENCH_DIMS = ModelDims(d=32, d_j=32, d_e=16, d_w=16, m_slots=8, k_answers=2)
+
+
+@given(st.sampled_from(MODES), st.sampled_from([DIMS, _BENCH_DIMS]),
+       st.sampled_from(["none", "all-masked", "partly masked", "full"]),
+       st.lists(st.sampled_from(VOCAB + ["oov"]), min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=150, deadline=None)
+def test_step_bits_equal_tensordot_form(mode, dims, memory, tokens, seed):
+    graph, _, _ = _setting()
+    table = make_bow_table(graph, dim=dims.d_e, seed=seed)
+    real = {"none": None, "all-masked": [], "partly masked": [0, 2], "full": [0, 1, 2]}[memory]
+    feats = None if real is None else slot_features(
+        SlotAssignment(slots=real + [None] * (dims.m_slots - len(real))), table, graph)
+    p = _params(seed=seed, dims=dims)
+    rng = np.random.default_rng(seed)
+    u, label = rng.standard_normal(dims.d) * 3.0, seed % 2
+    tr = forward(tokens, u, p, mode, feats, label)
+    if tr.blocks:
+        n = len(tr.blocks)
+        assert np.array_equal(tr.K, np.tensordot(KEY_ROLES[:n], tr.He, axes=1) * tr.h_u)
+        assert np.array_equal(tr.V, np.tensordot(VALUE_ROLE[:n], tr.He, axes=1) * tr.h_u)
+    got, want = backward(tr, label, p), _backward_by_tensordot(tr, label, p)
+    for name in MATRIX_ORDER:
+        assert np.array_equal(got[name], want[name]), name
 
 
 # ---------------------------------------------------------------- checkpoints

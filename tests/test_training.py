@@ -191,6 +191,18 @@ def test_evaluate_is_pure():
     assert r1.counts == r2.counts and r1.correct == r2.correct
 
 
+@pytest.mark.parametrize("lengths, bad", [((4, 5), 2), ((5, 4), 1)])
+def test_evaluate_names_an_image_of_the_wrong_length(lengths, bad):
+    # one question asked about two images whose lengths differ cannot be
+    # stacked; the error names the example that is not (d,) = (4,)
+    params = _zero_output_model(["a"])
+    examples = [VqaExample(["is", "it"], np.zeros(4), "a")]
+    examples += [VqaExample(["what"], np.zeros(k), "a") for k in lengths]
+    with pytest.raises(ValueError, match=fr"^test_set\[{bad}\]: visual feature "
+                                         r"shape \(5,\), want \(4,\)$"):
+        evaluate(examples, params, None, None, "q_only")
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_evaluate_retrieves_once_per_distinct_question(mode, monkeypatch):
     """Every question of the seed task asked about 3 images, shuffled, the
