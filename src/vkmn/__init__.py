@@ -13,7 +13,7 @@ from .spotting import (SlotAssignment, SpottedSet, expand_neighborhood,
                        spot_triples)
 from .training import (EvalReport, SyntheticTask, TrainConfig, VqaExample,
                        answer_question, build_answer_vocab, classify_answer_type,
-                       evaluate, gradient_check, load_dataset, make_synthetic_task,
-                       retrieve, save_dataset, train)
+                       evaluate, format_report_table, gradient_check, load_dataset,
+                       make_synthetic_task, retrieve, save_dataset, train)
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ on the unit sphere, relations are unconstrained.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -79,6 +80,9 @@ class EmbeddingTable:
                     raise ValueError(f"vector for {phrase!r} has shape {vec.shape}, want ({self.dim},)")
         self.entity_matrix, self.entity_vectors = _read_only_rows(self.entity_vectors, self.dim)
         _, self.relation_vectors = _read_only_rows(self.relation_vectors, self.dim)
+        self._index_entities()
+
+    def _index_entities(self):
         self.entity_row = dict(zip(self.entity_vectors, range(len(self.entity_vectors))))
         self.graph_rows = None
         if self.graph is not None:
@@ -86,6 +90,23 @@ class EmbeddingTable:
                 self.graph_rows = _graph_rows(self, self.graph)
             except KeyError:
                 self.graph = None
+
+    @classmethod
+    def adopt(cls, dim: int, phrases: List[str], matrix: Array,
+              relation_vectors: Dict[str, Array], kind: str = "transe",
+              graph: Optional[KnowledgeGraph] = None) -> "EmbeddingTable":
+        """A table that keeps `matrix` itself, made read-only, as its entity
+        matrix: row i is the vector of phrases[i], phrases sorted. The
+        relation vectors are kept as given; they must be read-only."""
+        if matrix.shape != (len(phrases), dim) or phrases != sorted(phrases):
+            raise ValueError("an adopted matrix needs one row per phrase, phrases sorted")
+        table = cls(dim=dim, kind=kind)
+        matrix.flags.writeable = False
+        table.entity_matrix, table.entity_vectors = matrix, dict(zip(phrases, matrix))
+        table.relation_vectors = dict(sorted(relation_vectors.items()))
+        table.graph = graph
+        table._index_entities()
+        return table
 
 
 def _read_only_rows(vectors: Dict[str, Array], dim: int):
@@ -367,12 +388,21 @@ def load_embeddings(path: str, graph: Optional[KnowledgeGraph] = None,
     Other rows are routed, with a graph, to the entity/relation map their
     phrase belongs to (both when dual-role, unless a `\rel:` row gives the
     relation vector); without a graph they land in entity_vectors. Files
-    from before the escapes load unchanged: a bare `_` is still a space."""
+    from before the escapes load unchanged: a bare `_` is still a space.
+
+    Rows are parsed straight into one matrix that the table adopts, entity
+    rows from the top and relation-only rows from the bottom; only a file
+    whose entity rows are out of phrase order costs a second, sorted copy.
+    """
     count = dim = 0  # from the header, the first non-blank line
     seen: Set[str] = set()
+    values = np.zeros((0, 0))
+    top = bottom = 0  # the next entity row; one past the next relation row
+    entity_rows: Dict[str, int] = {}
+    relation_rows: Dict[str, int] = {}
 
-    def parse(line: str) -> Optional[Tuple[bool, str, Array]]:
-        nonlocal count, dim
+    def parse(line: str) -> None:
+        nonlocal count, dim, values, top, bottom
         if not dim:
             try:
                 count, dim = (int(h) for h in line.split())
@@ -380,7 +410,11 @@ def load_embeddings(path: str, graph: Optional[KnowledgeGraph] = None,
                 raise ValueError("expected '<count> <dim>' header") from None
             if dim < 1:
                 raise ValueError(f"dim must be >= 1, got {dim}")
-            return None
+            # a row takes at least 2 * dim + 1 bytes, so a header can claim
+            # no more rows than the file holds
+            bottom = max(0, min(count, os.path.getsize(path) // (2 * dim + 1)))
+            values = np.empty((bottom, dim))
+            return
         fields = line.split(" ")
         if len(fields) != dim + 1:
             raise ValueError(f"expected phrase + {dim} values")
@@ -394,26 +428,33 @@ def load_embeddings(path: str, graph: Optional[KnowledgeGraph] = None,
             raise ValueError("non-finite value")
         if name in seen:
             raise ValueError(f"duplicate row for {phrase!r}")
+        if top == bottom:
+            raise ValueError(f"more rows than the header's {count}")
         seen.add(name)
-        return relation_row, phrase, vec
-
-    entity_vectors: Dict[str, Array] = {}
-    relation_vectors: Dict[str, Array] = {}
-    rows = read_records(path, parse)
-    next(rows, None)  # the header, read into count and dim
-    for relation_row, phrase, vec in rows:
+        in_relations = graph is not None and phrase in graph.relations
+        if relation_row or (in_relations and phrase not in graph.entities):
+            bottom -= 1
+            values[bottom] = vec
+            row = bottom
+        else:
+            values[top] = vec
+            entity_rows[phrase] = row = top
+            top += 1
         if relation_row:
-            relation_vectors[phrase] = vec
-            continue
-        is_rel = graph is not None and phrase in graph.relations
-        is_ent = graph is None or phrase in graph.entities
-        if is_rel:
-            relation_vectors.setdefault(phrase, vec)  # a `\rel:` row wins, before or after
-        if is_ent or not is_rel:
-            entity_vectors[phrase] = vec
+            relation_rows[phrase] = row  # a `\rel:` row wins, before or after
+        elif in_relations:
+            relation_rows.setdefault(phrase, row)
+
+    for _ in read_records(path, parse):
+        pass
     if not dim:
         raise ValueError(f"{path}: no '<count> <dim>' header")
     if len(seen) != count:
         raise ValueError(f"{path}: header says {count} rows, found {len(seen)}")
-    return EmbeddingTable(dim=dim, entity_vectors=entity_vectors,
-                          relation_vectors=relation_vectors, kind=kind, graph=graph)
+    values.flags.writeable = False
+    phrases = sorted(entity_rows)
+    order = [entity_rows[p] for p in phrases]
+    entities = values[:top] if order == list(range(top)) else values[order]
+    return EmbeddingTable.adopt(dim, phrases, entities,
+                                {p: values[r] for p, r in relation_rows.items()},
+                                kind=kind, graph=graph)

@@ -32,17 +32,22 @@ def tanh_map(v: Array) -> Array:
     Works on any array shape; saturation at |x| around 19 would otherwise
     round to exactly +-1.0 in float64.
     """
-    out = np.tanh(np.asarray(v, dtype=np.float64))
-    # np.clip's bits without its Python wrapper
-    return np.minimum(np.maximum(out, -_ONE_MINUS), _ONE_MINUS)
+    # asarray: on a 0-d input np.tanh returns a scalar, which cannot be clamped in place
+    out = np.asarray(np.tanh(np.asarray(v, dtype=np.float64)))
+    # np.clip's bits without its Python wrapper, clamped in place: a large
+    # stack makes no second and third copy
+    np.maximum(out, -_ONE_MINUS, out=out)
+    return np.minimum(out, _ONE_MINUS, out=out)
 
 
 def masked_softmax(scores: Array, mask: Array) -> Array:
     """Softmax over the unmasked entries only; masked entries are exactly 0.
 
     scores is one row (M,) or a stack of rows (..., M), any number of
-    leading axes, sharing the (M,) mask; each row is normalised on its own,
-    bit for bit as a 1-d call on it. Masked slots are excluded before
+    leading axes. mask is (M,), shared by every row, or any shape that
+    broadcasts to scores as (..., M), giving rows masks of their own. Each
+    row is normalised on its own, bit for bit as a 1-d call on it with its
+    mask, and every row needs a live slot. Masked slots are excluded before
     exponentiation (treated as score -inf), not zeroed afterwards: a null
     slot with a zero key would otherwise soak up e^0 worth of attention mass.
     A NaN or infinite live score makes its whole row NaN.
@@ -51,10 +56,13 @@ def masked_softmax(scores: Array, mask: Array) -> Array:
     if scores.ndim < 1:
         raise ValueError(f"scores must have at least one axis, got shape {scores.shape}")
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != scores.shape[-1:]:
-        raise ValueError(f"mask length {mask.shape} does not match scores dim {scores.shape[-1:]}")
-    if not mask.any():
-        raise ValueError("masked_softmax requires at least one unmasked slot")
+    if mask.shape != scores.shape[-1:] and (
+            mask.shape[-1:] != scores.shape[-1:] or mask.ndim > scores.ndim
+            or any(m not in (1, s) for m, s in zip(mask.shape[::-1], scores.shape[::-1]))):
+        raise ValueError(f"mask shape {mask.shape} does not broadcast as (..., M) "
+                         f"to scores shape {scores.shape}")
+    if not (mask.any() if mask.ndim == 1 else mask.any(axis=-1).all()):
+        raise ValueError("masked_softmax requires at least one unmasked slot in every row")
     # a masked slot's -inf exponentiates to exactly 0, which adds nothing to
     # the normaliser, so the bits are those of a softmax over the live slots
     e = np.where(mask, scores, -np.inf)
@@ -63,17 +71,23 @@ def masked_softmax(scores: Array, mask: Array) -> Array:
     return e / np.cumsum(e, axis=-1)[..., -1:]
 
 
-def softmax(scores: Array) -> Array:
-    """Plain max-subtracted softmax over all entries."""
-    scores = as_vector(scores, "scores")
-    e = np.exp(scores - scores.max())
+def _softmax(v: Array) -> Array:
+    e = np.exp(v - v.max())
     return e / e.sum()
 
 
-def log_sum_exp(v: Array) -> float:
-    v = as_vector(v, "v")
+def _log_sum_exp(v: Array) -> float:
     m = v.max()
     return float(m + np.log(np.exp(v - m).sum()))
+
+
+def softmax(scores: Array) -> Array:
+    """Plain max-subtracted softmax over all entries."""
+    return _softmax(as_vector(scores, "scores"))
+
+
+def log_sum_exp(v: Array) -> float:
+    return _log_sum_exp(as_vector(v, "v"))
 
 
 def cross_entropy_loss(logits: Array, label: int) -> float:
@@ -81,7 +95,18 @@ def cross_entropy_loss(logits: Array, label: int) -> float:
     logits = as_vector(logits, "logits")
     if not 0 <= label < logits.shape[0]:
         raise ValueError(f"label {label} out of range for {logits.shape[0]} logits")
-    return log_sum_exp(logits) - float(logits[label])
+    return _log_sum_exp(logits) - float(logits[label])
+
+
+def cross_entropy_grad(logits: Array, label: int) -> Array:
+    """d cross_entropy_loss / d logits = softmax(logits) - onehot(label).
+
+    logits must be a 1-d float64 array, as forward makes them: the loss
+    already checked them, so they are not converted a second time.
+    """
+    grad = _softmax(logits)
+    grad[label] -= 1.0
+    return grad
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> None:

@@ -24,13 +24,14 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .embedding import EmbeddingTable, embed_entry
 from .kb import KnowledgeGraph
-from .kernel import Array, cross_entropy_loss, masked_softmax, softmax, tanh_map
+from .kernel import (Array, cross_entropy_grad, cross_entropy_loss, masked_softmax, softmax,
+                     tanh_map)
 from .spotting import SlotAssignment
 
 MODES = ("full", "bow", "blind", "q_only", "no_replication")
@@ -104,7 +105,9 @@ def init_params(vocab: Sequence[str], answer_vocab: Sequence[str],
 
 # --- forward/backward ------------------------------------------------------------
 
-def _encode(tokens: Sequence[str], params: ModelParams):
+def _mean_words(tokens: Sequence[str], params: ModelParams) -> Tuple[Array, List[int]]:
+    """The question's word vectors summed one known token at a time and
+    divided by its token count, and the sorted rows it read."""
     if not tokens:
         raise ValueError("question must have at least one token")
     # sorting the hit rows makes the sum independent of token order, bit for bit
@@ -115,8 +118,21 @@ def _encode(tokens: Sequence[str], params: ModelParams):
     for tid in known_ids:
         m_bar += wt[tid]
     m_bar /= len(tokens)
-    t = tanh_map(params.matrices["W_t"] @ m_bar)
-    return t, m_bar, known_ids, len(tokens)
+    return m_bar, known_ids
+
+
+def _mean_words_rows(rows: Sequence[Sequence[str]], n: int, params: ModelParams
+                     ) -> Tuple[Array, List[List[int]]]:
+    """_mean_words of each of n rows as one (n, d_w) array; a question that
+    repeats is summed once."""
+    if len(rows) != n or any(isinstance(row, str) for row in rows):
+        raise ValueError(f"a stack of {n} images takes {n} token lists, one per row")
+    words: Dict[Tuple[str, ...], Tuple[Array, List[int]]] = {}
+    for row in map(tuple, rows):
+        if row not in words:
+            words[row] = _mean_words(row, params)
+    encoded = [words[row] for row in map(tuple, rows)]
+    return np.array([m_bar for m_bar, _ in encoded]), [ids for _, ids in encoded]
 
 
 def predict(q_prime: Array, W_o: Array) -> Tuple[int, Array]:
@@ -127,31 +143,53 @@ def predict(q_prime: Array, W_o: Array) -> Tuple[int, Array]:
 @dataclass
 class SlotFeatures:
     """Frozen Phi vectors for the selected slots: phi[r, i] is slot i's
-    subject, relation or target phrase for r = 0, 1, 2."""
+    subject, relation or target phrase for r = 0, 1, 2. A stack of B
+    assignments puts a leading B axis on both fields."""
 
-    phi: Array   # (3, M, d_e)
-    mask: Array  # (M,) bool
+    phi: Array   # (3, M, d_e), or (B, 3, M, d_e)
+    mask: Array  # (M,) bool, or (B, M)
 
 
-def slot_features(slots: SlotAssignment, table: EmbeddingTable,
-                  graph: KnowledgeGraph) -> SlotFeatures:
-    phi = np.zeros((3, len(slots.slots), table.dim))
-    for i, tid in enumerate(slots.slots):
-        if tid is None:
-            continue
-        subject, relation, target = graph.triples[tid].phrases()
-        phi[:, i] = (embed_entry(subject, table),
-                     embed_entry(relation, table, is_relation=True),
-                     embed_entry(target, table))
-    return SlotFeatures(phi=phi, mask=np.array(slots.mask, dtype=bool))
+def slot_features(slots: Union[SlotAssignment, Sequence[SlotAssignment]],
+                  table: EmbeddingTable, graph: KnowledgeGraph) -> SlotFeatures:
+    """Phi of one assignment, or of a sequence of B assignments of M slots
+    each. Each distinct triple's three roles are embedded once per call,
+    into its first slot, and copied to its other slots in one step; padding
+    slots keep zero rows."""
+    single = isinstance(slots, SlotAssignment)
+    rows = [slots] if single else slots
+    m = len(rows[0].slots) if rows else 0
+    phi = np.zeros((len(rows), 3, m, table.dim))
+    first: Dict[int, int] = {}  # triple id -> b * m + i of its first slot
+    repeats = []                # (first slot, another slot) of a triple, as b * m + i
+    for b, assignment in enumerate(rows):
+        if len(assignment.slots) != m:
+            raise ValueError("every assignment of a stack needs the same number of slots")
+        for i, tid in enumerate(assignment.slots):
+            if tid is None:
+                continue
+            if tid in first:
+                repeats.append((first[tid], b * m + i))
+                continue
+            first[tid] = b * m + i
+            subject, relation, target = graph.triples[tid].phrases()
+            phi[b, :, i] = (embed_entry(subject, table),
+                            embed_entry(relation, table, is_relation=True),
+                            embed_entry(target, table))
+    if repeats:
+        b, i = np.divmod(np.array(repeats).T, m)  # row 0: first slots, row 1: the others
+        phi[b[1], :, i[1]] = phi[b[0], :, i[0]]
+    mask = np.array([a.mask for a in rows], dtype=bool).reshape(len(rows), m)
+    return SlotFeatures(phi=phi[0], mask=mask[0]) if single else SlotFeatures(phi=phi, mask=mask)
 
 
 @dataclass
 class ForwardTrace:
     """Every intermediate of one forward pass. The memory fields hold one row
     per block in `blocks`, or are None when the memory does not run. The
-    shapes are those of one image; a stack of B images puts a leading B axis
-    on u_eff, q, q_prime, logits, h_u, K, V, a, p, w and o."""
+    shapes are those of one row; a call of B rows puts a leading B axis on
+    m_bar, t, u_eff, q, q_prime, logits and every memory array, and makes
+    known_ids and n_tokens lists with one entry per row."""
 
     mode: str
     known_ids: List[int]
@@ -175,49 +213,79 @@ class ForwardTrace:
     o: Optional[Array] = None     # (n, d) A w
 
 
-def forward(tokens: Sequence[str], visual_feature: Array, params: ModelParams,
+def forward(tokens: Sequence, visual_feature: Array, params: ModelParams,
             mode: str, features: Optional[SlotFeatures] = None,
             label: Optional[int] = None) -> ForwardTrace:
-    """Run the whole pipeline for one question, keeping every intermediate.
+    """Run the whole pipeline, keeping every intermediate.
 
-    visual_feature is one image (d,) or a stack of images (B, d) asked the
-    same question; a stack gives every image-dependent field a leading B
-    axis, and each row equals the one-image call on that image. features
-    carries the precomputed Phi rows for the chosen slots; None (or an
-    all-masked assignment) means the memory contributes nothing. q_only
-    ignores features entirely and never touches them.
+    One row: tokens is one question, visual_feature one image (d,), and
+    features its slots' Phi, phi (3, M, d_e) and mask (M,). B rows: tokens
+    holds one question per row, visual_feature is (B, d) and features is
+    phi (B, 3, M, d_e) with mask (B, M), as slot_features gives for B
+    assignments; rows may repeat a question or an image. Each row's mean
+    word vector is summed as for one row, then W_t, tanh and the memory run
+    once over the stack, and each row equals the one-row call on it. None
+    features, or a row whose mask has no live slot, means the memory adds
+    nothing: that row's q' is q. q_only never touches features. label (one
+    row only) adds the loss.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    t, m_bar, known_ids, n_tokens = _encode(tokens, params)
+    d = params.dims.d
     if mode == "blind":
-        # the image is never read; a stack only sets how many rows come out
-        lead = np.shape(visual_feature)[:-1]
-        u_eff = q = np.broadcast_to(t, lead + t.shape) if lead else t
+        # the image is never read; a stack only sets how many rows there are
+        shape = np.shape(visual_feature)
+        bad = len(shape) > 2
     else:
         u_eff = np.asarray(visual_feature, dtype=np.float64)
-        d = params.dims.d
-        if u_eff.ndim not in (1, 2) or u_eff.shape[-1] != d:
-            raise ValueError(f"visual feature shape {u_eff.shape}, want ({d},) or (B, {d})")
+        shape = u_eff.shape
+        bad = u_eff.ndim not in (1, 2) or shape[-1] != d
+    if bad:
+        raise ValueError(f"visual feature shape {shape}, want ({d},) or (B, {d})")
+    lead = shape[:-1]
+    W_t = params.matrices["W_t"]
+    if lead:
+        m_bar, known_ids = _mean_words_rows(tokens, lead[0], params)
+        n_tokens: Union[int, List[int]] = [len(row) for row in tokens]
+        t = tanh_map((W_t @ m_bar[..., None])[..., 0])
+    else:
+        m_bar, known_ids = _mean_words(tokens, params)
+        n_tokens = len(tokens)
+        t = tanh_map(W_t @ m_bar)
+    if mode == "blind":
+        u_eff = q = t
+    else:
         q = t * u_eff
 
-    # Matrix-vector products are written W @ x[..., None]: on one image it is
+    # Matrix-vector products are written W @ x[..., None]: on one row it is
     # the same BLAS call as W @ x, and on a stack it repeats that call per row.
     memory = {}
     q_prime = q
-    if mode != "q_only" and features is not None and bool(features.mask.any()):
+    live = None if mode == "q_only" or features is None else features.mask.any(axis=-1)
+    if live is not None and (live.any() if lead else live):
+        if features.mask.shape[:-1] != lead:
+            raise ValueError(f"slot features of shape {features.mask.shape[:-1]} rows "
+                             f"for visual features of {lead} rows")
         n = 1 if mode == "no_replication" else len(BLOCKS)
         A = params.matrices["A"][:n]
         h_u = tanh_map((params.matrices["W_u"] @ u_eff[..., None])[..., 0])
         He = tanh_map(features.phi @ params.matrices["W_e"].T)
         h = h_u[..., None, None, :]
-        K = (KEY_ROLES[:n] @ He.reshape(3, -1)).reshape(n, *He.shape[1:]) * h
-        V = (VALUE_ROLE[:n] @ He.reshape(3, -1)).reshape(n, *He.shape[1:]) * h
+        roles = He.reshape(*lead, 3, -1)
+        kv_shape = (*lead, n, *He.shape[-2:])
+        K = (KEY_ROLES[:n] @ roles).reshape(kv_shape)
+        K *= h  # in place: a stack of rows holds no second copy of K or V
+        V = (VALUE_ROLE[:n] @ roles).reshape(kv_shape)
+        V *= h
         a = (q[..., None, None, :] @ A)[..., 0, :]
-        p = masked_softmax((K @ a[..., None])[..., 0], features.mask)
+        # a row with no live slot reads every slot, then keeps q' = q
+        mask = features.mask[:, None] | ~live[:, None, None] if lead else features.mask
+        p = masked_softmax((K @ a[..., None])[..., 0], mask)
         w = (p[..., None, :] @ V)[..., 0, :]
         o = (A @ w[..., None])[..., 0]
         q_prime = reduce(np.add, o.swapaxes(0, -2), q)  # block by block, in BLOCKS order
+        if lead:
+            q_prime = np.where(live[:, None], q_prime, q)
         memory = dict(blocks=BLOCKS[:n], h_u=h_u, phi=features.phi, He=He,
                       K=K, V=V, a=a, p=p, w=w, o=o)
 
@@ -234,8 +302,9 @@ def backward(trace: ForwardTrace, label: int, params: ModelParams) -> Dict[str, 
     Phi is a constant. Each gradient is built once; matrices a mode never
     touches, and the rows of A past the blocks it runs, are exact zeros.
     """
-    dlogits = softmax(trace.logits)
-    dlogits[label] -= 1.0
+    if trace.logits.ndim != 1:
+        raise ValueError("backward takes the trace of a one-row forward")
+    dlogits = cross_entropy_grad(trace.logits, label)
     grads = {"W_o": dlogits[:, None] * trace.q_prime}
     dq = dq_prime = params.matrices["W_o"].T @ dlogits
 

@@ -4,9 +4,10 @@ seeded synthetic benchmark.
 Training is plain per-example SGD in seeded shuffled order over the memory
 `retrieve` gives each distinct question once up front. `vkmn query` answers
 through `answer_question`: retrieve, forward, argmax. Evaluation gives the
-same answers in fewer calls: it groups its examples by question, retrieves
-each distinct question once and runs that question's images through one
-forward pass as a stack. It buckets accuracy by answer type (yes/no, number,
+same answers in fewer calls: it retrieves each distinct question once, then
+runs its examples, grouped by question, through forward CHUNK_ROWS rows at
+a time, each row its own question, image and slots, embedding each slot
+triple once per stack. It buckets accuracy by answer type (yes/no, number,
 other) and the bucket accuracies recombine exactly to the overall number.
 """
 
@@ -29,6 +30,9 @@ from .model import (MODES, ForwardTrace, ModelDims, ModelParams, SlotFeatures,
 from .spotting import SlotAssignment, spot_question
 
 ANSWER_TYPES = ("yesno", "number", "other")
+# rows per forward in evaluate: a whole split as one stack costs several MB
+# on the larger workloads, and 64 rows already run at the stacked speed
+CHUNK_ROWS = 64
 NUMBER_WORDS = {
     "zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
     "nine", "ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen",
@@ -202,9 +206,6 @@ class EvalReport:
         return [fmt(self.accuracy_all), fmt(self.accuracy("yesno")),
                 fmt(self.accuracy("number")), fmt(self.accuracy("other"))]
 
-    def to_text(self, label: str = "vkmn") -> str:
-        return format_report_table([(label, self)])
-
 
 REPORT_COLUMNS = ("All", "Y/N", "Num", "Other")
 
@@ -223,28 +224,36 @@ def evaluate(test_set: Sequence[VqaExample], params: ModelParams,
              graph: Optional[KnowledgeGraph], table: Optional[EmbeddingTable],
              mode: str, loss_curve: Optional[List[float]] = None) -> EvalReport:
     """Argmax prediction per example, as answer_question gives it; gold
-    answers outside the answer vocabulary are automatic misses. Examples are
-    grouped by question: each distinct question is retrieved once, and its
-    images go through one forward pass as a (B, d) stack."""
+    answers outside the answer vocabulary are automatic misses. Each
+    distinct question is retrieved once. The examples, grouped by question,
+    then go through forward CHUNK_ROWS at a time as one stack of rows, each
+    row its own question, image and slots."""
     by_question: Dict[Tuple[str, ...], List[int]] = {}
     for i, ex in enumerate(test_set):
         by_question.setdefault(tuple(ex.question_tokens), []).append(i)
+    # only the slots are kept, not the spotted sets they were ranked from
+    slots = {key: None if mode == "q_only" else SlotAssignment(spot_question(
+                 test_set[indices[0]].question_tokens, graph, params.dims.m_slots).slots)
+             for key, indices in by_question.items()}
+    order = [i for indices in by_question.values() for i in indices]
     counts = {t: 0 for t in ANSWER_TYPES}
     correct = {t: 0 for t in ANSWER_TYPES}
     d = params.dims.d
-    for indices in by_question.values():
-        group = [test_set[i] for i in indices]
-        shapes = [ex.visual_feature.shape for ex in group]
-        if len(set(shapes)) > 1:  # np.stack would fail; name an image that is not (d,)
-            i, shape = next((i, s) for i, s in zip(indices, shapes) if s != (d,))
-            raise ValueError(f"test_set[{i}]: visual feature shape {shape}, want ({d},)")
-        tokens = group[0].question_tokens
-        _, feats = retrieve(tokens, graph, table, mode, params.dims.m_slots)
-        # one image goes through as (d,), the cheaper path for the same row
-        images = (np.stack([ex.visual_feature for ex in group]) if len(group) > 1
-                  else group[0].visual_feature)
-        logits = forward(tokens, images, params, mode, feats).logits
-        for ex, idx in zip(group, np.argmax(logits.reshape(len(group), -1), axis=1)):
+    for start in range(0, len(order), CHUNK_ROWS):
+        chunk = order[start:start + CHUNK_ROWS]
+        rows = [test_set[i] for i in chunk]
+        shapes = {ex.visual_feature.shape for ex in rows}
+        # the images must stack, and every mode but blind reads them as (d,)
+        if len(shapes) > 1 or (mode != "blind" and shapes != {(d,)}):
+            i = next(i for i in chunk if test_set[i].visual_feature.shape != (d,))
+            raise ValueError(f"test_set[{i}]: visual feature shape "
+                             f"{test_set[i].visual_feature.shape}, want ({d},)")
+        tokens = [ex.question_tokens for ex in rows]
+        feats = None if mode == "q_only" else slot_features(
+            [slots[tuple(q)] for q in tokens], table, graph)
+        logits = forward(tokens, np.stack([ex.visual_feature for ex in rows]),
+                         params, mode, feats).logits
+        for ex, idx in zip(rows, np.argmax(logits, axis=1)):
             counts[ex.answer_type] += 1
             correct[ex.answer_type] += int(params.answer_vocab[idx] == ex.answer)
     return EvalReport(counts=counts, correct=correct,

@@ -487,6 +487,50 @@ def test_load_embeddings_malformed(tmp_path):
         load_embeddings(path)
 
 
+def test_load_embeddings_parses_into_one_adopted_matrix(tmp_path):
+    # entity, relation and dual-role phrases interleave in the sorted file
+    g = build_graph([Triple("dog", "part of", "animal"), Triple("part of", "be", "relation"),
+                     Triple("cat", "bite", "dog")])
+    table = train_transe(g, TransEConfig(dim=4, epochs=5, seed=2))
+    path = tmp_path / "vec.txt"
+    save_embeddings(table, path)
+    loaded = load_embeddings(path, graph=g)
+    buffer = loaded.entity_matrix.base
+    assert buffer is not None and not buffer.flags.writeable
+    assert not loaded.entity_matrix.flags.writeable
+    for vectors, want in ((loaded.entity_vectors, table.entity_vectors),
+                          (loaded.relation_vectors, table.relation_vectors)):
+        assert vectors.keys() == want.keys()
+        for phrase, vec in vectors.items():
+            assert vec.base is buffer and not vec.flags.writeable
+            assert vec.tobytes() == want[phrase].tobytes()
+    assert list(loaded.entity_vectors) == sorted(table.entity_vectors)
+
+
+def test_load_embeddings_sorts_entity_rows_given_out_of_order(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("3 2\nb 1 2\nr 5 6\na 3 4\n")
+    loaded = load_embeddings(path)
+    assert loaded.entity_matrix.tolist() == [[3.0, 4.0], [1.0, 2.0], [5.0, 6.0]]
+    assert loaded.entity_row == {"a": 0, "b": 1, "r": 2}
+    assert loaded.entity_vectors["b"].tolist() == [1.0, 2.0]
+    assert not loaded.entity_matrix.flags.writeable
+
+
+@pytest.mark.parametrize("text, where", [
+    ("1 2\na 1 2\nb 3 4\n", r"vec\.txt:3: more rows than the header's 1"),
+    ("-1 2\na 1 2\n", r"vec\.txt:2: more rows than the header's -1"),
+    # a header claiming more than the file can hold allocates nothing of that size
+    ("99999999999 99999999999\na 1 2\n", r"vec\.txt:2: expected phrase \+ 99999999999"),
+    ("99999999999 2\na 1 2\n", r"vec\.txt: header says 99999999999 rows, found 1"),
+])
+def test_load_embeddings_names_a_header_the_rows_disagree_with(tmp_path, text, where):
+    path = tmp_path / "vec.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=where):
+        load_embeddings(path)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_train_transe_norms_hold_for_any_seed(seed):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vkmn.kernel import (
+    cross_entropy_grad,
     cross_entropy_loss,
     finite_diff_grad,
     log_sum_exp,
@@ -129,6 +130,41 @@ def test_masked_softmax_rows_match_one_d_calls(pair):
         masked_softmax(scores, mask[:-1])
 
 
+@given(
+    # scores (B, n, M) and a per-row mask (B, 1, M), (B, n, M) or (n, M)
+    st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 8),
+              st.sampled_from(["B1M", "BnM", "nM"])).flatmap(
+        lambda dims: st.tuples(
+            st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False),
+                     min_size=math.prod(dims[:3]), max_size=math.prod(dims[:3])).map(
+                lambda xs: np.reshape(xs, dims[:3])),
+            st.lists(st.booleans(), min_size=math.prod(dims[:3]),
+                     max_size=math.prod(dims[:3])).map(
+                lambda bs: np.reshape(bs, dims[:3])[
+                    {"B1M": (slice(None), slice(0, 1)), "BnM": (), "nM": 0}[dims[3]]]),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_masked_softmax_per_row_masks(pair):
+    scores, mask = pair
+    rows = np.broadcast_to(mask, scores.shape).reshape(-1, scores.shape[-1])
+    if not rows.any(axis=-1).all():  # a row with no live slot
+        with pytest.raises(ValueError, match="at least one unmasked slot in every row"):
+            masked_softmax(scores, mask)
+        return
+    p = masked_softmax(scores, mask)
+    assert p.shape == scores.shape
+    for row, row_mask, p_row in zip(scores.reshape(rows.shape), rows, p.reshape(rows.shape)):
+        assert p_row.tobytes() == masked_softmax(row, row_mask).tobytes()
+    # the mask broadcasts as (..., M) or not at all
+    for bad in (np.ones((scores.shape[0] + 1, 1, scores.shape[-1]), dtype=bool),
+                np.ones((1,) + scores.shape, dtype=bool),
+                np.ones(scores.shape[:-1] + (scores.shape[-1] + 1,), dtype=bool)):
+        with pytest.raises(ValueError, match="does not broadcast"):
+            masked_softmax(scores, bad)
+
+
 def _masked_softmax_by_index(scores, mask):
     """masked_softmax as a boolean scatter into a zero-filled output."""
     out = np.zeros_like(scores)
@@ -199,6 +235,10 @@ def test_tanh_map_bounds(v):
 def test_tanh_map_preserves_matrix_shape():
     m = np.arange(6.0).reshape(2, 3)
     assert tanh_map(m).shape == (2, 3)
+    # a 0-d input is clamped too, though np.tanh gives it back as a scalar
+    for x in (30.0, np.float64(-30.0), np.array(0.5)):
+        assert tanh_map(x).shape == ()
+        assert tanh_map(x).tobytes() == np.clip(np.tanh(x), -_ONE_MINUS, _ONE_MINUS).tobytes()
 
 
 def test_log_sum_exp_stable():
@@ -218,6 +258,20 @@ def test_cross_entropy_matches_log_softmax():
 def test_cross_entropy_label_out_of_range():
     with pytest.raises((IndexError, ValueError)):
         cross_entropy_loss(np.array([0.0, 1.0]), 5)
+
+
+@given(finite_vecs, st.integers(min_value=0, max_value=11))
+@settings(max_examples=100, deadline=None)
+def test_cross_entropy_loss_and_grad_keep_their_bits(v, k):
+    # one conversion of the logits: the same bits as log_sum_exp, and as
+    # softmax minus the one-hot label
+    k %= len(v)
+    assert cross_entropy_loss(v, k) == log_sum_exp(v) - float(v[k])
+    want = softmax(v)
+    want[k] -= 1.0
+    before = v.tobytes()
+    assert cross_entropy_grad(v, k).tobytes() == want.tobytes()
+    assert v.tobytes() == before
 
 
 def test_sgd_step_in_place():

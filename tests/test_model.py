@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vkmn.embedding import EmbeddingTable, embed_entry, make_bow_table
+from vkmn import model
 from vkmn.kb import Triple, build_graph
 from vkmn.kernel import finite_diff_grad, max_relative_error, softmax
 from vkmn.model import (
@@ -579,13 +580,15 @@ def _one_image_shapes(n_blocks):
        st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=150, deadline=None)
 def test_image_stack_rows_equal_one_image_calls(mode, memory, images, seed):
+    # one question asked about B images: B rows that repeat its tokens and slots
     graph, table, _ = _setting()
     slots = _MEMORIES[memory]
     feats = None if slots is None else slot_features(slots, table, graph)
     p = _params(seed=seed)
     tokens = ["alpha", "near", "beta"]
-    stack = forward(tokens, np.array(images), p, mode, feats)
     b = len(images)
+    stacked = None if slots is None else slot_features([slots] * b, table, graph)
+    stack = forward([tokens] * b, np.array(images), p, mode, stacked)
     assert stack.logits.shape == (b, DIMS.k_answers)
     for i, u in enumerate(images):
         one = forward(tokens, np.array(u), p, mode, feats)
@@ -599,4 +602,78 @@ def test_image_stack_rows_equal_one_image_calls(mode, memory, images, seed):
             else:
                 assert getattr(one, name) is None and getattr(stack, name) is None
     assert stack.blocks == one.blocks
-    assert one.t.shape == (DIMS.d,) and stack.t.shape == (DIMS.d,)
+    assert one.t.shape == (DIMS.d,) and stack.t.shape == (b, DIMS.d)
+    assert stack.known_ids == [one.known_ids] * b and stack.n_tokens == [3] * b
+
+
+_QUESTIONS = [["alpha", "near", "beta"], ["gamma", "oov"], ["beta"], ["near", "alpha", "near"],
+              ["oov"]]
+# triple 0 is read by several assignments; [None] * 3 has no live slot
+_ASSIGNMENTS = [[0, 1, None], [None, None, None], [2, 0, 1], [None, 0, None], [1, None, 2]]
+
+
+@given(st.sampled_from(MODES), st.booleans(),
+       st.lists(st.tuples(st.integers(0, len(_QUESTIONS) - 1),
+                          st.integers(0, len(_ASSIGNMENTS) - 1),
+                          st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),
+                                   min_size=DIMS.d, max_size=DIMS.d)),
+                min_size=1, max_size=12),
+       st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=150, deadline=None)
+def test_mixed_rows_equal_one_row_calls(mode, with_memory, rows, seed):
+    graph, table, _ = _setting()
+    p = _params(seed=seed)
+    tokens = [_QUESTIONS[q] for q, _, _ in rows]
+    assignments = [SlotAssignment(slots=_ASSIGNMENTS[s]) for _, s, _ in rows]
+    images = np.array([u for _, _, u in rows])
+    feats = slot_features(assignments, table, graph) if with_memory else None
+    stack = forward(tokens, images, p, mode, feats)
+    assert stack.logits.shape == (len(rows), DIMS.k_answers)
+    for i, (q, a, u) in enumerate(zip(tokens, assignments, images)):
+        one_feats = slot_features(a, table, graph) if with_memory else None
+        one = forward(q, u, p, mode, one_feats)
+        assert np.max(np.abs(stack.logits[i] - one.logits)) <= 1e-12
+        assert np.argmax(stack.logits[i]) == np.argmax(one.logits)
+        if with_memory:
+            assert feats.phi[i].tobytes() == one_feats.phi.tobytes()
+        if not one.blocks:  # no live slot or no memory: q' is q, exactly
+            assert stack.q_prime[i].tobytes() == stack.q[i].tobytes()
+
+
+def test_slot_features_embeds_each_triple_once(monkeypatch):
+    graph, table, _ = _setting()
+    assignments = [SlotAssignment(slots=s) for s in _ASSIGNMENTS]
+    singles = [slot_features(a, table, graph) for a in assignments]
+    calls = []
+
+    def counted(entry, *args, **kwargs):
+        calls.append(entry)
+        return embed_entry(entry, *args, **kwargs)
+
+    monkeypatch.setattr(model, "embed_entry", counted)
+    stack = slot_features(assignments, table, graph)
+    assert stack.phi.shape == (len(assignments), 3, DIMS.m_slots, DIMS.d_e)
+    assert stack.phi.flags.c_contiguous
+    for i, (a, one) in enumerate(zip(assignments, singles)):
+        assert stack.phi[i].tobytes() == one.phi.tobytes()
+        assert stack.mask[i].tolist() == a.mask
+    # three roles of each of the 3 distinct triples; padding is not embedded
+    assert len(calls) == 3 * len(graph.triples)
+    with pytest.raises(ValueError, match="same number of slots"):
+        slot_features([SlotAssignment(slots=[0]), SlotAssignment(slots=[0, 1])], table, graph)
+
+
+def test_forward_rows_reject_mismatched_inputs():
+    graph, table, slots = _setting()
+    p = _params()
+    images = np.zeros((2, DIMS.d))
+    # a stack needs one token list per row, not one question
+    with pytest.raises(ValueError, match="takes 2 token lists"):
+        forward(["alpha", "beta"], images, p, "full")
+    with pytest.raises(ValueError, match="takes 2 token lists"):
+        forward([["alpha"]], images, p, "full")
+    with pytest.raises(ValueError, match="slot features"):
+        forward([["alpha"]] * 2, images, p, "full", slot_features([slots] * 3, table, graph))
+    trace = forward([["alpha"]] * 2, images, p, "full", slot_features([slots] * 2, table, graph))
+    with pytest.raises(ValueError, match="one-row forward"):
+        backward(trace, 0, p)

@@ -1,5 +1,6 @@
 """Trainer, evaluator buckets, gradient check, synthetic benchmark."""
 
+import functools
 import json
 import math
 from dataclasses import replace
@@ -16,6 +17,7 @@ from vkmn.model import MODES, ModelDims, init_params
 from vkmn.spotting import spot_question
 from vkmn.training import (
     ANSWER_TYPES,
+    CHUNK_ROWS,
     REPORT_COLUMNS,
     EvalReport,
     TrainConfig,
@@ -240,6 +242,64 @@ def test_evaluate_retrieves_once_per_distinct_question(mode, monkeypatch):
     counts = {t: 0 for t in ANSWER_TYPES}
     correct = {t: 0 for t in ANSWER_TYPES}
     for ex in asked:
+        answer, _, _ = answer_question(ex.question_tokens, ex.visual_feature,
+                                       params, task.graph, table, mode)
+        counts[ex.answer_type] += 1
+        correct[ex.answer_type] += int(answer == ex.answer)
+    assert report.counts == counts
+    assert report.correct == correct
+
+
+@functools.lru_cache(maxsize=None)
+def _row_task():
+    """The seed task at small dims, with both tables: evaluate's row tests."""
+    task = make_synthetic_task(seed=7, dim=4)
+    return (task, make_bow_table(task.graph, 3, seed=7),
+            train_transe(task.graph, TransEConfig(dim=3, epochs=5, seed=7)))
+
+
+@given(st.sampled_from(MODES),
+       st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
+                min_size=CHUNK_ROWS + 1, max_size=3 * CHUNK_ROWS),
+       st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=20, deadline=None)
+def test_evaluate_rows_equal_answer_question(mode, picks, seed):
+    """More than CHUNK_ROWS examples of mixed questions: seed-task questions
+    sharing triples, repeats, and questions that spot nothing (no live
+    slot). evaluate's counts equal answer_question's example by example, and
+    every row's logits are the one-row call's within 1e-12."""
+    task, bow, transe = _row_task()
+    table = bow if mode == "bow" else transe
+    questions = [ex.question_tokens for ex in task.train + task.test]
+    questions += [["what", "zzz"], ["is", "it", "zzz"]]
+    answers = sorted({ex.answer for ex in task.train})
+    rng = np.random.default_rng(seed)
+    examples = [VqaExample(list(questions[q % len(questions)]), rng.standard_normal(4),
+                           answers[a % len(answers)]) for q, a in picks]
+    dims = ModelDims(d=4, d_j=4, d_e=3, d_w=3, m_slots=4, k_answers=len(answers))
+    params = init_params(sorted({t for q in questions for t in q}), answers, dims, seed=seed)
+
+    rows, sizes = [], []
+    forward = training.forward
+
+    def recording(tokens, images, *args):
+        trace = forward(tokens, images, *args)
+        sizes.append(len(tokens))
+        rows.extend(zip(tokens, images, trace.logits))
+        return trace
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "forward", recording)
+        report = evaluate(examples, params, task.graph, table, mode)
+    assert sizes[:-1] == [CHUNK_ROWS] * (len(sizes) - 1) and sum(sizes) == len(examples)
+
+    for tokens, image, logits in rows:
+        _, trace, _ = answer_question(tokens, image, params, task.graph, table, mode)
+        assert np.max(np.abs(logits - trace.logits)) <= 1e-12
+        assert np.argmax(logits) == np.argmax(trace.logits)
+    counts = {t: 0 for t in ANSWER_TYPES}
+    correct = {t: 0 for t in ANSWER_TYPES}
+    for ex in examples:
         answer, _, _ = answer_question(ex.question_tokens, ex.visual_feature,
                                        params, task.graph, table, mode)
         counts[ex.answer_type] += 1
