@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -182,6 +183,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not examples:
         raise ValueError(f"{args.dataset}: no examples")
     dims = _model_dims(args, len(examples[0].visual_feature))
+    _check_feature(args.dataset, examples[0].visual_feature, dims.d, mode)
     graph, table = _load_memory(args, dims.d_e, mode)
     config = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
                          mode=mode, dims=dims)
@@ -291,7 +293,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             if examples:
                 _check_feature(path, examples[0].visual_feature, dims.d, "full")
     transe_table = _load_table(args, graph, dims.d_e, "full")
-    bow_table = make_bow_table(graph, dims.d_e, args.seed)
+    bow_table = make_bow_table(graph, transe_table.dim, args.seed)
 
     splits = {"train": train_set, "test": test_set}
     reports: Dict[str, Dict[str, EvalReport]] = {split: {} for split in splits}
@@ -303,8 +305,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                              mode=mode, dims=dims)
         params, curve = train(train_set, graph, table, config)
         for split, examples in splits.items():
-            reports[split][cli_mode] = evaluate(examples, params, graph, table,
-                                                mode, loss_curve=curve)
+            reports[split][cli_mode] = replace(
+                evaluate(examples, params, graph, table, mode), loss_curve=curve)
     if args.json:
         print(json.dumps({split: {m: r.to_json() for m, r in rows.items()}
                           for split, rows in reports.items()}, sort_keys=True))
@@ -348,7 +350,7 @@ def _add_model_dim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--joint-dim", type=int, default=0,
                    help="joint embedding dim (default: same as --dim)")
     p.add_argument("--knowledge-dim", type=int, default=32,
-                   help="knowledge embedding dim d_e")
+                   help="width d_e of the table derived when no --embeddings is given")
     p.add_argument("--word-dim", type=int, default=32, help="word vector dim")
     p.add_argument("--slots", type=int, default=8, help="memory slots M")
     p.add_argument("--answers", type=int, default=50,

@@ -52,10 +52,11 @@ class TransEHistory:
 class EmbeddingTable:
     """Phrase-to-vector store, immutable after construction.
 
-    Construction copies the vectors into read-only matrices, one row per
-    phrase in sorted-phrase order; `entity_vectors` and `relation_vectors`
-    then map each phrase to its row, a view. `entity_matrix` and
-    `entity_row` let filtered ranking score every entity at once. A table
+    The dict constructor copies the vectors into read-only matrices, one row
+    per phrase in sorted-phrase order; `adopt`, which every maker in this
+    module uses, keeps the maker's own matrix instead. `entity_vectors` and
+    `relation_vectors` map each phrase to its row, a view. `entity_matrix`
+    and `entity_row` let filtered ranking score every entity at once. A table
     made for a graph keeps it with `graph_rows`, the mask of its entities'
     rows, so ranking against that graph does not rebuild the mask; `graph`
     is None when the table lacks one of the graph's entities.
@@ -94,13 +95,14 @@ class EmbeddingTable:
     @classmethod
     def adopt(cls, dim: int, phrases: List[str], matrix: Array,
               relation_vectors: Dict[str, Array], kind: str = "transe",
-              graph: Optional[KnowledgeGraph] = None) -> "EmbeddingTable":
+              graph: Optional[KnowledgeGraph] = None,
+              history: Optional[TransEHistory] = None) -> "EmbeddingTable":
         """A table that keeps `matrix` itself, made read-only, as its entity
         matrix: row i is the vector of phrases[i], phrases sorted. The
         relation vectors are kept as given; they must be read-only."""
         if matrix.shape != (len(phrases), dim) or phrases != sorted(phrases):
             raise ValueError("an adopted matrix needs one row per phrase, phrases sorted")
-        table = cls(dim=dim, kind=kind)
+        table = cls(dim=dim, kind=kind, history=history)
         matrix.flags.writeable = False
         table.entity_matrix, table.entity_vectors = matrix, dict(zip(phrases, matrix))
         table.relation_vectors = dict(sorted(relation_vectors.items()))
@@ -258,14 +260,9 @@ def train_transe(graph: KnowledgeGraph, config: TransEConfig) -> EmbeddingTable:
         norms = np.linalg.norm(ent, axis=1)
         history.max_norm_error.append(float(np.max(np.abs(norms - 1.0))))
 
-    return EmbeddingTable(
-        dim=dim,
-        entity_vectors={e: ent[i].copy() for e, i in ent_idx.items()},
-        relation_vectors={r: rel[i].copy() for r, i in rel_idx.items()},
-        kind="transe",
-        history=history,
-        graph=graph,
-    )
+    rel.flags.writeable = False
+    return EmbeddingTable.adopt(dim, entities, ent, dict(zip(relations, rel)),
+                                graph=graph, history=history)
 
 
 def make_bow_table(graph: KnowledgeGraph, dim: int, seed: int = 0) -> EmbeddingTable:
@@ -277,11 +274,7 @@ def make_bow_table(graph: KnowledgeGraph, dim: int, seed: int = 0) -> EmbeddingT
     tokens = sorted({tok for phrase in graph.entry_set() for tok in phrase.split()})
     rng = np.random.default_rng(seed)
     vecs = rng.uniform(-0.5, 0.5, size=(len(tokens), dim))
-    return EmbeddingTable(
-        dim=dim,
-        entity_vectors={t: vecs[i].copy() for i, t in enumerate(tokens)},
-        kind="bow",
-    )
+    return EmbeddingTable.adopt(dim, tokens, vecs, {}, kind="bow")
 
 
 def _graph_rows(table: EmbeddingTable, graph: KnowledgeGraph) -> Array:

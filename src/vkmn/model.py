@@ -121,18 +121,16 @@ def _mean_words(tokens: Sequence[str], params: ModelParams) -> Tuple[Array, List
     return m_bar, known_ids
 
 
-def _mean_words_rows(rows: Sequence[Sequence[str]], n: int, params: ModelParams
-                     ) -> Tuple[Array, List[List[int]]]:
-    """_mean_words of each of n rows as one (n, d_w) array; a question that
-    repeats is summed once."""
+def _mean_words_rows(rows: Sequence[Sequence[str]], n: int, params: ModelParams) -> Array:
+    """_mean_words' vector of each of n rows as one (n, d_w) array; a
+    question that repeats is summed once."""
     if len(rows) != n or any(isinstance(row, str) for row in rows):
         raise ValueError(f"a stack of {n} images takes {n} token lists, one per row")
-    words: Dict[Tuple[str, ...], Tuple[Array, List[int]]] = {}
+    words: Dict[Tuple[str, ...], Array] = {}
     for row in map(tuple, rows):
         if row not in words:
-            words[row] = _mean_words(row, params)
-    encoded = [words[row] for row in map(tuple, rows)]
-    return np.array([m_bar for m_bar, _ in encoded]), [ids for _, ids in encoded]
+            words[row] = _mean_words(row, params)[0]
+    return np.array([words[row] for row in map(tuple, rows)])
 
 
 def predict(q_prime: Array, W_o: Array) -> Tuple[int, Array]:
@@ -188,12 +186,12 @@ class ForwardTrace:
     """Every intermediate of one forward pass. The memory fields hold one row
     per block in `blocks`, or are None when the memory does not run. The
     shapes are those of one row; a call of B rows puts a leading B axis on
-    m_bar, t, u_eff, q, q_prime, logits and every memory array, and makes
-    known_ids and n_tokens lists with one entry per row."""
+    m_bar, t, u_eff, q, q_prime, logits and every memory array, and leaves
+    known_ids and n_tokens None: only backward reads them, on one row."""
 
     mode: str
-    known_ids: List[int]
-    n_tokens: int
+    known_ids: Optional[List[int]]
+    n_tokens: Optional[int]
     m_bar: Array
     t: Array
     u_eff: Array
@@ -226,8 +224,8 @@ def forward(tokens: Sequence, visual_feature: Array, params: ModelParams,
     word vector is summed as for one row, then W_t, tanh and the memory run
     once over the stack, and each row equals the one-row call on it. None
     features, or a row whose mask has no live slot, means the memory adds
-    nothing: that row's q' is q. q_only never touches features. label (one
-    row only) adds the loss.
+    nothing: that row's q' is q. Features must be d_e wide, live slot or
+    not; q_only never touches them. label (one row only) adds the loss.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -245,8 +243,8 @@ def forward(tokens: Sequence, visual_feature: Array, params: ModelParams,
     lead = shape[:-1]
     W_t = params.matrices["W_t"]
     if lead:
-        m_bar, known_ids = _mean_words_rows(tokens, lead[0], params)
-        n_tokens: Union[int, List[int]] = [len(row) for row in tokens]
+        m_bar = _mean_words_rows(tokens, lead[0], params)
+        known_ids = n_tokens = None
         t = tanh_map((W_t @ m_bar[..., None])[..., 0])
     else:
         m_bar, known_ids = _mean_words(tokens, params)
@@ -262,6 +260,9 @@ def forward(tokens: Sequence, visual_feature: Array, params: ModelParams,
     memory = {}
     q_prime = q
     live = None if mode == "q_only" or features is None else features.mask.any(axis=-1)
+    if live is not None and features.phi.shape[-1] != params.dims.d_e:
+        raise ValueError(f"slot features are {features.phi.shape[-1]} wide, "
+                         f"the model's d_e is {params.dims.d_e}")
     if live is not None and (live.any() if lead else live):
         if features.mask.shape[:-1] != lead:
             raise ValueError(f"slot features of shape {features.mask.shape[:-1]} rows "

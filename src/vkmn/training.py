@@ -8,7 +8,8 @@ same answers in fewer calls: it retrieves each distinct question once, then
 runs its examples, grouped by question, through forward CHUNK_ROWS rows at
 a time, each row its own question, image and slots, embedding each slot
 triple once per stack. It buckets accuracy by answer type (yes/no, number,
-other) and the bucket accuracies recombine exactly to the overall number.
+other) and the bucket accuracies recombine exactly to the overall number;
+its report's loss curve stays empty unless the caller attaches train's.
 """
 
 from __future__ import annotations
@@ -128,12 +129,14 @@ def train(train_set: Sequence[VqaExample], graph: Optional[KnowledgeGraph],
 
     Out-of-vocabulary answers are dropped from the training set up front.
     The answer vocabulary is capped at dims.k_answers and the model output
-    layer is sized to what actually survives.
+    layer is sized to what actually survives. W_e is sized to the table's
+    width; only q_only, which reads nothing of the table, keeps dims.d_e.
     """
     if not train_set:
         raise ValueError("training set is empty")
     answers = build_answer_vocab(train_set, config.dims.k_answers)
-    dims = replace(config.dims, k_answers=len(answers))
+    d_e = config.dims.d_e if config.mode == "q_only" else table.dim
+    dims = replace(config.dims, d_e=d_e, k_answers=len(answers))
     vocab = sorted({tok for ex in train_set for tok in ex.question_tokens})
     params = init_params(vocab, answers, dims, seed=config.seed)
     answer_index = {a: i for i, a in enumerate(answers)}
@@ -222,7 +225,7 @@ def format_report_table(rows: Sequence[Tuple[str, "EvalReport"]]) -> str:
 
 def evaluate(test_set: Sequence[VqaExample], params: ModelParams,
              graph: Optional[KnowledgeGraph], table: Optional[EmbeddingTable],
-             mode: str, loss_curve: Optional[List[float]] = None) -> EvalReport:
+             mode: str) -> EvalReport:
     """Argmax prediction per example, as answer_question gives it; gold
     answers outside the answer vocabulary are automatic misses. Each
     distinct question is retrieved once. The examples, grouped by question,
@@ -256,8 +259,7 @@ def evaluate(test_set: Sequence[VqaExample], params: ModelParams,
         for ex, idx in zip(rows, np.argmax(logits, axis=1)):
             counts[ex.answer_type] += 1
             correct[ex.answer_type] += int(params.answer_vocab[idx] == ex.answer)
-    return EvalReport(counts=counts, correct=correct,
-                      loss_curve=list(loss_curve or []))
+    return EvalReport(counts=counts, correct=correct)
 
 
 # --- gradient checking ----------------------------------------------------------

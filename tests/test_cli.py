@@ -8,6 +8,7 @@ import pytest
 from vkmn.cli import main
 from vkmn.embedding import embed_entry
 from vkmn.kb import load_kb
+from vkmn.model import load_checkpoint
 from vkmn.spotting import spot_question
 from vkmn.training import load_dataset, make_synthetic_task, train
 
@@ -95,6 +96,17 @@ def test_train_transe_writes_embeddings(tmp_path, capsys):
     assert out.exists()
     header = out.read_text().splitlines()[0].split()
     assert header == ["6", "4"]  # entries, dim
+
+
+def test_train_transe_negatives_above_one(tmp_path):
+    kb = _kb_file(tmp_path)
+    files = {}
+    for name, negatives in (("a", "2"), ("b", "2"), ("one", "1")):
+        files[name] = tmp_path / f"{name}.txt"
+        assert main(["train-transe", "--kb", str(kb), "--out", str(files[name]),
+                     "--dim", "4", "--epochs", "20", "--negatives", negatives]) == 0
+    assert files["a"].read_bytes() == files["b"].read_bytes()
+    assert files["a"].read_bytes() != files["one"].read_bytes()
 
 
 # ---------------------------------------------------------------- spot
@@ -192,6 +204,59 @@ def test_train_eval_round_trip(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert "accuracy_all" in json.loads(outs[0])
+
+
+def test_train_takes_d_e_from_its_embeddings_file(tmp_path, capsys, monkeypatch):
+    synth = _synth(tmp_path)
+    kb, ckpt = str(synth / "kb.tsv"), str(tmp_path / "model.bin")
+    vectors = {}
+    for dim in (16, 8):
+        vectors[dim] = str(tmp_path / f"vec{dim}.txt")
+        assert main(["train-transe", "--kb", kb, "--out", vectors[dim],
+                     "--dim", str(dim), "--epochs", "2"]) == 0
+    # no --knowledge-dim: the file's width is the model's d_e
+    assert main(["train", "--dataset", str(synth / "train.jsonl"), "--kb", kb,
+                 "--embeddings", vectors[16], "--checkpoint", ckpt,
+                 "--word-dim", "4", "--epochs", "2"]) == 0
+    assert load_checkpoint(ckpt).dims.d_e == 16
+    capsys.readouterr()
+    eval_args = ["eval", "--dataset", str(synth / "test.jsonl"), "--kb", kb,
+                 "--checkpoint", ckpt, "--json", "--embeddings"]
+    assert main(eval_args + [vectors[16]]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]
+
+    width = "error: slot features are 8 wide, the model's d_e is 16"
+    assert main(eval_args + [vectors[8]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and width in captured.err.splitlines()
+    feature = tmp_path / "feat.json"
+    feature.write_text(json.dumps([0.1] * 8))
+    monkeypatch.setattr("sys.stdin", io.StringIO("what do obj0 rel0\n\n"))
+    assert main(["query", "--kb", kb, "--embeddings", vectors[8], "--checkpoint", ckpt,
+                 "--feature", str(feature)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and width in captured.err.splitlines()
+
+
+def test_train_checks_feature_length_before_loading_memory(tmp_path, capsys,
+                                                          monkeypatch):
+    wide = _synth(tmp_path, "wide", dim=16)
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the feature check")
+
+    monkeypatch.setattr("vkmn.cli.train", no_training)
+    monkeypatch.setattr("vkmn.cli.train_transe", no_training)
+    rc = main(["train", "--dataset", str(wide / "train.jsonl"), "--kb", str(wide / "kb.tsv"),
+               "--checkpoint", str(tmp_path / "m.bin"), "--dim", "8"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(line.startswith("error:") and
+               line.endswith(f"{wide / 'train.jsonl'}: feature length 16, "
+                             "model wants 8")
+               for line in captured.err.splitlines())
 
 
 def test_eval_text_table(tmp_path, capsys):

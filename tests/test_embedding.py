@@ -187,6 +187,21 @@ def test_train_transe_losses_finite_nonnegative():
     assert all(math.isfinite(x) and x >= 0.0 for x in losses)
 
 
+def test_train_transe_with_three_negatives_per_positive():
+    g = _chain_graph(10, 3)
+    cfg = TransEConfig(dim=8, epochs=30, seed=4, negatives_per_positive=3)
+    t1, t2 = train_transe(g, cfg), train_transe(g, cfg)
+    assert t1.entity_matrix.tobytes() == t2.entity_matrix.tobytes()
+    assert all(v.tobytes() == t2.relation_vectors[r].tobytes()
+               for r, v in t1.relation_vectors.items())
+    assert t1.history.epoch_loss == t2.history.epoch_loss
+    assert np.max(np.abs(np.linalg.norm(t1.entity_matrix, axis=1) - 1.0)) <= 1e-9
+    assert max(t1.history.max_norm_error) <= 1e-9
+    assert t1.history.epoch_loss[-1] < t1.history.epoch_loss[0]
+    one = train_transe(g, TransEConfig(dim=8, epochs=30, seed=4))
+    assert one.entity_matrix.tobytes() != t1.entity_matrix.tobytes()
+
+
 def test_train_transe_needs_two_entities():
     g = build_graph([Triple("a", "r", "a")])
     with pytest.raises(ValueError):
@@ -364,6 +379,37 @@ def test_make_bow_table_deterministic():
     assert t1.kind == "bow"
     for k in t1.entity_vectors:
         assert np.array_equal(t1.entity_vectors[k], t2.entity_vectors[k])
+
+
+@pytest.mark.parametrize("maker", ["transe", "bow"])
+def test_made_tables_keep_their_makers_matrix(maker, monkeypatch):
+    g = _chain_graph(8, 3)
+    adopted = []
+    adopt = EmbeddingTable.adopt.__func__
+
+    def keeping(cls, dim, phrases, matrix, relation_vectors, **kwargs):
+        adopted.append((matrix, relation_vectors))
+        return adopt(cls, dim, phrases, matrix, relation_vectors, **kwargs)
+
+    monkeypatch.setattr(EmbeddingTable, "adopt", classmethod(keeping))
+    table = (train_transe(g, TransEConfig(dim=4, epochs=3, seed=1)) if maker == "transe"
+             else make_bow_table(g, 4, seed=1))
+    ((matrix, relations),) = adopted
+    assert table.entity_matrix is matrix and not matrix.flags.writeable
+    assert all(vec.base is matrix for vec in table.entity_vectors.values())
+    assert relations.keys() == table.relation_vectors.keys()
+    for phrase, vec in table.relation_vectors.items():
+        assert vec is relations[phrase] and not vec.flags.writeable
+    # the bytes of a dict-built table of the same vectors
+    copied = EmbeddingTable(
+        dim=4, kind=table.kind,
+        entity_vectors={p: v.copy() for p, v in table.entity_vectors.items()},
+        relation_vectors={p: v.copy() for p, v in table.relation_vectors.items()})
+    assert copied.entity_matrix.tobytes() == table.entity_matrix.tobytes()
+    assert copied.entity_row == table.entity_row
+    assert list(copied.relation_vectors) == list(table.relation_vectors)
+    assert all(v.tobytes() == table.relation_vectors[p].tobytes()
+               for p, v in copied.relation_vectors.items())
 
 
 # ---------------------------------------------------------------- persistence

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from vkmn import training
 from vkmn.embedding import TransEConfig, make_bow_table, train_transe
-from vkmn.model import MODES, ModelDims, init_params
+from vkmn.model import MODES, ModelDims, forward, init_params, slot_features
 from vkmn.spotting import spot_question
 from vkmn.training import (
     ANSWER_TYPES,
@@ -306,6 +306,57 @@ def test_evaluate_rows_equal_answer_question(mode, picks, seed):
         correct[ex.answer_type] += int(answer == ex.answer)
     assert report.counts == counts
     assert report.correct == correct
+
+
+def _eight_wide(mode, graph):
+    return (make_bow_table(graph, 8, seed=7) if mode == "bow"
+            else train_transe(graph, TransEConfig(dim=8, epochs=0, seed=7)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_train_sizes_W_e_from_its_table(mode):
+    # the config says d_e 32, the table is 8 wide; q_only reads no table and
+    # keeps the config's d_e
+    task, _, _ = _row_task()
+    table = None if mode == "q_only" else _eight_wide(mode, task.graph)
+    dims = replace(SMALL_DIMS, d_e=32)
+    params, _ = train(task.train, task.graph, table,
+                      TrainConfig(epochs=1, seed=7, mode=mode, dims=dims))
+    want = 32 if mode == "q_only" else 8
+    assert params.dims.d_e == want
+    assert params.matrices["W_e"].shape == (dims.d_j, want)
+    assert evaluate(task.test, params, task.graph, table, mode).total == len(task.test)
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "q_only"])
+def test_a_table_of_another_width_is_named(mode):
+    """A model of d_e 3 given an 8-wide table: forward, evaluate and
+    answer_question raise a ValueError naming both widths, also on a
+    question that spots nothing, whose memory has no live slot."""
+    task, _, _ = _row_task()
+    wide = _eight_wide(mode, task.graph)
+    answers = sorted({ex.answer for ex in task.train})
+    vocab = sorted({t for ex in task.train for t in ex.question_tokens})
+    params = init_params(vocab, answers, replace(SMALL_DIMS, k_answers=len(answers)))
+    u = np.ones(SMALL_DIMS.d)
+    message = r"^slot features are 8 wide, the model's d_e is 3$"
+    nothing = ["what", "zzz"]
+    empty = spot_question(nothing, task.graph, SMALL_DIMS.m_slots)
+    assert empty.n_real == 0
+    for tokens in (task.train[0].question_tokens, nothing):
+        slots = spot_question(tokens, task.graph, SMALL_DIMS.m_slots)
+        with pytest.raises(ValueError, match=message):
+            forward(tokens, u, params, mode, slot_features(slots, wide, task.graph))
+        with pytest.raises(ValueError, match=message):
+            forward([tokens] * 2, np.stack([u, u]), params, mode,
+                    slot_features([slots] * 2, wide, task.graph))
+        with pytest.raises(ValueError, match=message):
+            answer_question(tokens, u, params, task.graph, wide, mode)
+        with pytest.raises(ValueError, match=message):
+            evaluate([VqaExample(list(tokens), u, answers[0])], params, task.graph,
+                     wide, mode)
+    # q_only never reads the features, whatever their width
+    forward(nothing, u, params, "q_only", slot_features(empty, wide, task.graph))
 
 
 def test_report_table_structure():
