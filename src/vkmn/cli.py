@@ -77,6 +77,18 @@ def _load_memory(args: argparse.Namespace, d_e: int, mode: str
     return graph, _load_table(args, graph, d_e, mode)
 
 
+def _check_table(args: argparse.Namespace, table: Optional[EmbeddingTable], d_e: int) -> None:
+    """The table's rows are the model's slot features, so its width must be d_e.
+
+    A table derived in-process is made d_e wide; only an --embeddings file
+    can differ.
+    """
+    if table is not None and table.dim != d_e:
+        raise ValueError(f"slot features are {table.dim} wide, the model's d_e is {d_e}\n"
+                         f"{args.embeddings} holds {table.dim}-wide vectors; "
+                         f"{args.checkpoint} was trained with d_e {d_e}")
+
+
 def _check_feature(path: str, feature: np.ndarray, d: int, mode: str) -> None:
     """Every mode but blind reads a visual feature of length d."""
     if mode != "blind" and len(feature) != d:
@@ -212,6 +224,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.dataset}: no examples")
     _check_feature(args.dataset, examples[0].visual_feature, params.dims.d, mode)
     graph, table = _load_memory(args, params.dims.d_e, mode)
+    _check_table(args, table, params.dims.d_e)
     report = evaluate(examples, params, graph, table, mode)
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
@@ -230,6 +243,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.feature}: {e}") from None
     _check_feature(args.feature, u, params.dims.d, mode)
     graph, table = _load_memory(args, params.dims.d_e, mode)
+    _check_table(args, table, params.dims.d_e)
 
     for raw_tokens in _stdin_questions():
         answer, trace, assignment = answer_question(

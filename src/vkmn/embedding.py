@@ -305,9 +305,10 @@ def _filtered_rank(s: str, r: str, t: str, table: EmbeddingTable,
     ahead = scores > true
     ahead[:row_t] |= scores[:row_t] == true
     ahead &= in_graph
-    for tid in graph.entry_index.get(s, set()) & graph.entry_index.get(r, set()):
-        other = graph.triples[tid]
-        if other.subject == s and other.relation == r and other.target != t:
+    triples = graph.triples
+    for tid in graph.entry_index.get(s, ()):
+        other = triples[tid]
+        if other.relation == r and other.subject == s and other.target != t:
             ahead[table.entity_row[other.target]] = False
     return 1 + int(np.count_nonzero(ahead))
 

@@ -14,8 +14,8 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence,
-                    Set, Tuple, TypeVar)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, KeysView, List,
+                    Sequence, Set, Tuple, TypeVar)
 
 R = TypeVar("R")
 
@@ -282,12 +282,18 @@ class KnowledgeGraph:
         self.triples: List[Triple] = dedup_triples(triples)
         phrases = [t.phrases() for t in self.triples]
         self.frequency: Counter = Counter(chain.from_iterable(phrases))
-        index = defaultdict(set)
-        for tid, triple_phrases in enumerate(phrases):
-            for phrase in triple_phrases:
-                index[phrase].add(tid)
-        # a plain dict, so that reading an unknown phrase cannot add it
-        self.entry_index: Dict[str, Set[int]] = dict(index)
+        postings = defaultdict(list)
+        for tid, (s, r, t) in enumerate(phrases):
+            # ids arrive ascending; a phrase in two roles of one triple is listed once
+            postings[s].append(tid)
+            if r != s:
+                postings[r].append(tid)
+            if t != s and t != r:
+                postings[t].append(tid)
+        # phrase -> ascending tuple of the ids of the triples that contain it; a
+        # plain dict, so that reading an unknown phrase cannot add it
+        self.entry_index: Dict[str, Tuple[int, ...]] = {
+            p: tuple(ids) for p, ids in postings.items()}
         self.entities: Set[str] = {p for s, _, t in phrases for p in (s, t)}
         self.relations: Set[str] = {r for _, r, _ in phrases}
         freq = self.frequency
@@ -302,12 +308,18 @@ class KnowledgeGraph:
         """S = E u R, every phrase of the graph: the keys of entry_index."""
         return self._entry_set
 
-    def neighbors(self, *tids: int) -> Set[int]:
-        """Ids of the triples outside tids that share a phrase with one of them."""
+    def neighbors(self, *tids: int) -> KeysView[int]:
+        """Ids of the triples outside tids that share a phrase with one of them.
+
+        Ascending, as the keys of a dict, so that they also compare and
+        combine as a set. One sort merges the phrases' ascending postings.
+        """
+        index = self.entry_index
         phrases = {p for tid in tids for p in self.triples[tid].phrases()}
-        out = set().union(*(self.entry_index[p] for p in phrases))
-        out.difference_update(tids)
-        return out
+        out = dict.fromkeys(sorted(chain.from_iterable(map(index.__getitem__, phrases))))
+        for tid in tids:
+            out.pop(tid, None)
+        return out.keys()
 
 
 def build_graph(triples: Sequence[Triple]) -> KnowledgeGraph:

@@ -4,14 +4,18 @@ Pipeline per question: greedy n-gram matching against the KB entry set,
 collect triples anchored by at least two matched entries, widen by one hop
 to the triples sharing a phrase with them, then rank and pad into exactly M
 memory slots.
+
+Each stage works in proportion to what it keeps. The graph's postings are
+ascending, so the one-hop widening is one sort that merges presorted runs,
+and ranking sorts only the few triples that cover a matched entry, falling
+back to the rest only when those cannot fill the M slots.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set
 
 from .kb import KnowledgeGraph
@@ -91,27 +95,38 @@ def spot_triples(matched: Set[str], graph: KnowledgeGraph) -> SpottedSet:
 def expand_neighborhood(spotted: SpottedSet, graph: KnowledgeGraph) -> SpottedSet:
     """Append every 1-hop neighbor of a core triple, in triple-id order.
 
-    Neighbor match_count is its own matched-entry coverage (0 or 1; two or
-    more would have put it in the core already).
+    The neighbors come from one sort over the core phrases' ascending
+    postings (KnowledgeGraph.neighbors). Each gets match_count 0, and only
+    those that cover a matched entry are then set to their coverage (1; two
+    or more would have put them in the core already).
     """
-    neighbors = sorted(graph.neighbors(*spotted.core))
+    neighbors = graph.neighbors(*spotted.core)
+    match_count = dict.fromkeys(chain(spotted.match_count, neighbors), 0)
+    match_count.update(spotted.match_count)
     counts = _coverage(spotted.matched_entries, graph)
-    match_count = dict(spotted.match_count)
-    match_count.update((tid, counts[tid]) for tid in neighbors)
-    return replace(spotted, expanded=spotted.core + neighbors, match_count=match_count)
+    match_count.update((tid, counts[tid]) for tid in counts.keys() & neighbors)
+    return replace(spotted, expanded=spotted.core + list(neighbors), match_count=match_count)
 
 
 def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -> SlotAssignment:
     """Rank expanded triples into exactly m_slots slots, padding with nulls.
 
     Rank: match_count desc, then frequency-sum desc (phrases common in the
-    KB act as a prior), then triple id for determinism.
+    KB act as a prior), then triple id for determinism. Match counts are
+    coverage counts, never negative, and an id without one counts 0. So
+    only the triples that cover a matched entry are ranked by the full key;
+    the zero-count ones are sorted, by frequency-sum and id, only when fewer
+    than m_slots triples cover an entry.
     """
     if m_slots < 1:
         raise ValueError(f"need at least one slot, got {m_slots}")
     counts, sums = spotted.match_count, graph.frequency_sums
-    chosen = heapq.nsmallest(m_slots, spotted.expanded,
-                             key=lambda tid: (-counts.get(tid, 0), -sums[tid], tid))
+    chosen = sorted(filter(counts.get, spotted.expanded),
+                    key=lambda tid: (-counts[tid], -sums[tid], tid))[:m_slots]
+    if len(chosen) < m_slots:
+        rest = sorted(filterfalse(counts.get, spotted.expanded))
+        rest.sort(key=sums.__getitem__, reverse=True)  # stable: ties stay in id order
+        chosen += rest[:m_slots - len(chosen)]
     return SlotAssignment(slots=chosen + [None] * (m_slots - len(chosen)), spotted=spotted)
 
 

@@ -238,6 +238,33 @@ def test_train_takes_d_e_from_its_embeddings_file(tmp_path, capsys, monkeypatch)
     assert captured.out == "" and width in captured.err.splitlines()
 
 
+@pytest.mark.parametrize("command", ["eval", "query"])
+def test_table_width_is_checked_when_memory_loads(tmp_path, capsys, monkeypatch, command):
+    # query with no questions on stdin never reaches forward, so the width is
+    # checked where the table is loaded; the error names both files
+    synth = _synth(tmp_path)
+    kb, ckpt = str(synth / "kb.tsv"), str(tmp_path / "model.bin")
+    vec16, vec8 = str(tmp_path / "vec16.txt"), str(tmp_path / "vec8.txt")
+    for path, dim in ((vec16, "16"), (vec8, "8")):
+        assert main(["train-transe", "--kb", kb, "--out", path,
+                     "--dim", dim, "--epochs", "1"]) == 0
+    assert main(["train", "--dataset", str(synth / "train.jsonl"), "--kb", kb,
+                 "--embeddings", vec16, "--checkpoint", ckpt,
+                 "--word-dim", "4", "--epochs", "1"]) == 0
+    feature = tmp_path / "feat.json"
+    feature.write_text(json.dumps([0.1] * 8))
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    capsys.readouterr()
+    argv = {"eval": ["eval", "--dataset", str(synth / "test.jsonl")],
+            "query": ["query", "--feature", str(feature)]}[command]
+    assert main(argv + ["--kb", kb, "--embeddings", vec8, "--checkpoint", ckpt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-2:] == [
+        "error: slot features are 8 wide, the model's d_e is 16",
+        f"{vec8} holds 8-wide vectors; {ckpt} was trained with d_e 16"]
+
+
 def test_train_checks_feature_length_before_loading_memory(tmp_path, capsys,
                                                           monkeypatch):
     wide = _synth(tmp_path, "wide", dim=16)

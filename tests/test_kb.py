@@ -251,7 +251,7 @@ def test_graph_indices_and_adjacency():
     assert g.neighbors(0) == {1, 2}
     assert g.neighbors(1) == {0, 2}
     assert g.neighbors(2) == {0, 1}
-    assert g.entry_index["dog"] == {0, 2}
+    assert g.entry_index["dog"] == (0, 2)
     # per-phrase counts over stored triples
     assert g.frequency["dog"] == 2
     assert g.frequency["eat"] == 2

@@ -1,5 +1,9 @@
 """Retrieval pipeline: greedy matching, >=2-entry spotting, expansion, slots."""
 
+import heapq
+from collections import Counter
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,3 +250,74 @@ def test_expanded_match_count_is_matched_coverage(raw, matched):
     assert set(out.match_count) == set(out.expanded)
     for tid in out.expanded:
         assert out.match_count[tid] == len(matched & set(g.triples[tid].phrases()))
+
+
+# ------------------------------------------- against the set-and-heap reference
+#
+# expand_neighborhood merges ascending postings and select_slots sorts only
+# the triples that cover a matched entry. The references below are the
+# expressions they replace: a set union of postings with Counter coverage,
+# and heapq.nsmallest over every expanded triple with the full tuple key.
+
+def _reference_expand(spotted, graph):
+    phrases = {p for tid in spotted.core for p in graph.triples[tid].phrases()}
+    neighbors = set().union(*(set(graph.entry_index[p]) for p in phrases))
+    neighbors.difference_update(spotted.core)
+    neighbors = sorted(neighbors)
+    counts = Counter(chain.from_iterable(graph.entry_index.get(p, ())
+                                         for p in spotted.matched_entries))
+    match_count = dict(spotted.match_count)
+    match_count.update((tid, counts[tid]) for tid in neighbors)
+    return spotted.core + neighbors, match_count
+
+
+def _reference_slots(spotted, graph, m_slots):
+    counts, sums = spotted.match_count, graph.frequency_sums
+    chosen = heapq.nsmallest(m_slots, spotted.expanded,
+                             key=lambda tid: (-counts.get(tid, 0), -sums[tid], tid))
+    return chosen + [None] * (m_slots - len(chosen))
+
+
+# every field drawn from one pool: self-loops, phrases in two roles of one
+# triple, and ties in frequency sum all occur
+one_pool_triples = st.lists(st.tuples(*[st.sampled_from(["a", "b", "c", "r", "q"])] * 3),
+                            min_size=1, max_size=15)
+
+
+@given(one_pool_triples)
+@settings(max_examples=200, deadline=None)
+def test_entry_index_postings_are_strictly_ascending_tuples(raw):
+    g = build_graph([Triple(*p) for p in raw])
+    for phrase, ids in g.entry_index.items():
+        assert type(ids) is tuple
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+        assert ids == tuple(tid for tid, t in enumerate(g.triples) if phrase in t.phrases())
+
+
+@given(one_pool_triples, st.sets(st.sampled_from(["a", "b", "c", "r", "q", "zzz"]), max_size=5),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_expand_and_select_match_reference(raw, matched, data):
+    g = build_graph([Triple(*p) for p in raw])
+    spotted = spot_triples(matched, g)
+    out = expand_neighborhood(spotted, g)
+    expanded, match_count = _reference_expand(spotted, g)
+    assert out.expanded == expanded
+    assert list(out.match_count.items()) == list(match_count.items())  # dict order too
+    m = data.draw(st.integers(1, len(out.expanded) + 2))
+    assert select_slots(out, g, m).slots == _reference_slots(out, g, m)
+
+
+@given(one_pool_triples, st.data())
+@settings(max_examples=300, deadline=None)
+def test_select_slots_matches_heapq_on_hand_built_sets(raw, data):
+    # expanded in any order; match_count lacks some ids and may name ids
+    # outside expanded; counts are coverage counts, so never negative
+    g = build_graph([Triple(*p) for p in raw])
+    ids = data.draw(st.permutations(range(len(g))))
+    expanded = ids[:data.draw(st.integers(0, len(ids)))]
+    match_count = data.draw(st.dictionaries(st.integers(0, len(g) - 1), st.integers(0, 3)))
+    spotted = SpottedSet(matched_entries=set(), core=[], expanded=list(expanded),
+                         match_count=match_count)
+    m = data.draw(st.integers(1, len(expanded) + 2))
+    assert select_slots(spotted, g, m).slots == _reference_slots(spotted, g, m)
