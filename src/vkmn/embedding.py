@@ -48,7 +48,7 @@ class TransEHistory:
     max_norm_error: List[float] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingTable:
     """Phrase-to-vector store, immutable after construction.
 
@@ -59,18 +59,19 @@ class EmbeddingTable:
     and `entity_row` let filtered ranking score every entity at once. A table
     made for a graph keeps it with `graph_rows`, the mask of its entities'
     rows, so ranking against that graph does not rebuild the mask; `graph`
-    is None when the table lacks one of the graph's entities.
+    is None when the table lacks one of the graph's entities. Tables compare
+    by identity, and the repr shows only `dim` and `kind`.
     """
 
     dim: int
-    entity_vectors: Dict[str, Array] = field(default_factory=dict)
-    relation_vectors: Dict[str, Array] = field(default_factory=dict)
+    entity_vectors: Dict[str, Array] = field(default_factory=dict, repr=False)
+    relation_vectors: Dict[str, Array] = field(default_factory=dict, repr=False)
     kind: str = "transe"
-    history: Optional[TransEHistory] = field(default=None, compare=False)
-    graph: Optional[KnowledgeGraph] = field(default=None, repr=False, compare=False)
-    entity_matrix: Array = field(init=False, repr=False, compare=False)
-    entity_row: Dict[str, int] = field(init=False, repr=False, compare=False)
-    graph_rows: Optional[Array] = field(init=False, repr=False, compare=False)
+    history: Optional[TransEHistory] = field(default=None, repr=False)
+    graph: Optional[KnowledgeGraph] = field(default=None, repr=False)
+    entity_matrix: Array = field(init=False, repr=False)
+    entity_row: Dict[str, int] = field(init=False, repr=False)
+    graph_rows: Optional[Array] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("transe", "bow"):

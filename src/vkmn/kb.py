@@ -100,7 +100,7 @@ def lemmatize_phrase(phrase: str) -> str:
     return " ".join(lemmatize(t) for t in phrase.lower().split())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """One knowledge fact. Fields are lowercase lemmatized phrases."""
 

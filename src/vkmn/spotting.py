@@ -5,10 +5,13 @@ collect triples anchored by at least two matched entries, widen by one hop
 to the triples sharing a phrase with them, then rank and pad into exactly M
 memory slots.
 
-Each stage works in proportion to what it keeps. The graph's postings are
-ascending, so the one-hop widening is one sort that merges presorted runs,
-and ranking sorts only the few triples that cover a matched entry, falling
-back to the rest only when those cannot fill the M slots.
+Coverage, the number of distinct matched entries among a triple's phrases,
+is counted once per question, by spot_triples; that one Counter is the
+match_count every later stage reads. Each stage works in proportion to what
+it keeps. The graph's postings are ascending, so the one-hop widening is one
+sort that merges presorted runs, and ranking sorts only the few triples that
+cover a matched entry, falling back to the rest only when those cannot fill
+the M slots.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ MAX_NGRAM = 4  # longest multi-word KB entry we scan for
 
 @dataclass
 class SpottedSet:
+    """What spotting found for one question. match_count is its coverage:
+    triple id -> distinct matched entries among the triple's phrases, for
+    every triple that covers one; other ids read 0. Stages build new records
+    rather than mutate one, so records may share one match_count."""
+
     matched_entries: Set[str]
     core: List[int]
     expanded: List[int]
@@ -74,38 +82,28 @@ def match_entries(question_tokens: Sequence[str], entries: AbstractSet[str]) -> 
     return matched
 
 
-def _coverage(matched: Set[str], graph: KnowledgeGraph) -> Counter:
-    """Triple id -> how many distinct matched entries its fields contain."""
-    index = graph.entry_index
-    return Counter(chain.from_iterable(index.get(p, ()) for p in matched))
-
-
 def spot_triples(matched: Set[str], graph: KnowledgeGraph) -> SpottedSet:
-    """Core retrieval: triples whose fields cover >= 2 distinct matched entries."""
-    counts = _coverage(matched, graph)
+    """Core retrieval: triples whose fields cover >= 2 distinct matched entries.
+
+    The coverage Counter is kept whole as match_count. The entries are read
+    in sorted order, so its key order does not depend on string hashing.
+    """
+    index = graph.entry_index
+    counts = Counter(chain.from_iterable(index.get(p, ()) for p in sorted(matched)))
     core = sorted(tid for tid, c in counts.items() if c >= 2)
-    return SpottedSet(
-        matched_entries=set(matched),
-        core=core,
-        expanded=list(core),
-        match_count={tid: counts[tid] for tid in core},
-    )
+    return SpottedSet(matched_entries=set(matched), core=core, expanded=list(core),
+                      match_count=counts)
 
 
 def expand_neighborhood(spotted: SpottedSet, graph: KnowledgeGraph) -> SpottedSet:
     """Append every 1-hop neighbor of a core triple, in triple-id order.
 
     The neighbors come from one sort over the core phrases' ascending
-    postings (KnowledgeGraph.neighbors). Each gets match_count 0, and only
-    those that cover a matched entry are then set to their coverage (1; two
-    or more would have put them in the core already).
+    postings (KnowledgeGraph.neighbors). match_count is left as spot_triples
+    made it and shared with the new record: a neighbor covers at most one
+    matched entry (two would have put it in the core) and reads 0 if none.
     """
-    neighbors = graph.neighbors(*spotted.core)
-    match_count = dict.fromkeys(chain(spotted.match_count, neighbors), 0)
-    match_count.update(spotted.match_count)
-    counts = _coverage(spotted.matched_entries, graph)
-    match_count.update((tid, counts[tid]) for tid in counts.keys() & neighbors)
-    return replace(spotted, expanded=spotted.core + list(neighbors), match_count=match_count)
+    return replace(spotted, expanded=spotted.core + list(graph.neighbors(*spotted.core)))
 
 
 def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -> SlotAssignment:

@@ -370,6 +370,15 @@ def test_table_vectors_are_read_only_copies():
     assert np.array_equal(table.entity_matrix[table.entity_row["b"]], [3.0, 4.0])
 
 
+def test_tables_compare_by_identity_and_repr_briefly():
+    vecs = {f"e{i}": np.full(2, float(i)) for i in range(5000)}
+    table = EmbeddingTable(dim=2, entity_vectors=vecs)
+    twin = EmbeddingTable(dim=2, entity_vectors=vecs)
+    assert table == table
+    assert (table == twin) is False and (table != twin) is True
+    assert repr(table) == "EmbeddingTable(dim=2, kind='transe')"
+
+
 # ---------------------------------------------------------------- bow table
 
 def test_make_bow_table_deterministic():

@@ -93,6 +93,16 @@ def test_triple_rejects_whitespace_only_fields(blank):
         Triple("dog", blank, "bone")
 
 
+def test_triple_is_slotted_and_keeps_value_semantics():
+    t = Triple("dog", "eat", "bone")
+    assert not hasattr(t, "__dict__")
+    assert t == Triple("dog", "eat", "bone") and t != Triple("dog", "eat", "fish")
+    assert hash(t) == hash(Triple("dog", "eat", "bone"))
+    assert str(t) == "<dog, eat, bone>"
+    with pytest.raises(AttributeError):
+        t.subject = "cat"
+
+
 def test_make_triple_normalizes():
     t = make_triple("Dogs", "Eating", "Bones")
     assert t == Triple("dog", "eat", "bone")

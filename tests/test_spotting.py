@@ -1,6 +1,9 @@
 """Retrieval pipeline: greedy matching, >=2-entry spotting, expansion, slots."""
 
 import heapq
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import chain
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vkmn
 from vkmn.kb import Triple, build_graph
 from vkmn.spotting import (
     SlotAssignment,
@@ -74,7 +78,8 @@ def test_spot_requires_two_distinct_entries():
     assert spot_triples({"eat"}, g).core == []
     got = spot_triples({"dog", "eat"}, g)
     assert got.core == [0]
-    assert got.match_count == {0: 2}
+    # match_count is the whole coverage: 1 and 2 cover one entry each
+    assert got.match_count == {0: 2, 1: 1, 2: 1}
 
 
 def test_spot_repeated_phrase_counts_once():
@@ -247,7 +252,8 @@ def test_expanded_match_count_is_matched_coverage(raw, matched):
     # every field drawn from one pool: self-loops and dual-role phrases occur
     g = build_graph([Triple(*p) for p in raw])
     out = expand_neighborhood(spot_triples(matched, g), g)
-    assert set(out.match_count) == set(out.expanded)
+    assert set(out.match_count) == {tid for tid, t in enumerate(g.triples)
+                                    if matched & set(t.phrases())}
     for tid in out.expanded:
         assert out.match_count[tid] == len(matched & set(g.triples[tid].phrases()))
 
@@ -256,19 +262,17 @@ def test_expanded_match_count_is_matched_coverage(raw, matched):
 #
 # expand_neighborhood merges ascending postings and select_slots sorts only
 # the triples that cover a matched entry. The references below are the
-# expressions they replace: a set union of postings with Counter coverage,
-# and heapq.nsmallest over every expanded triple with the full tuple key.
+# expressions they replace: a set union of postings, Counter coverage over
+# the sorted matched entries, and heapq.nsmallest over every expanded triple
+# with the full tuple key.
 
 def _reference_expand(spotted, graph):
     phrases = {p for tid in spotted.core for p in graph.triples[tid].phrases()}
     neighbors = set().union(*(set(graph.entry_index[p]) for p in phrases))
     neighbors.difference_update(spotted.core)
-    neighbors = sorted(neighbors)
-    counts = Counter(chain.from_iterable(graph.entry_index.get(p, ())
-                                         for p in spotted.matched_entries))
-    match_count = dict(spotted.match_count)
-    match_count.update((tid, counts[tid]) for tid in neighbors)
-    return spotted.core + neighbors, match_count
+    match_count = Counter(chain.from_iterable(graph.entry_index.get(p, ())
+                                              for p in sorted(spotted.matched_entries)))
+    return spotted.core + sorted(neighbors), match_count
 
 
 def _reference_slots(spotted, graph, m_slots):
@@ -306,6 +310,43 @@ def test_expand_and_select_match_reference(raw, matched, data):
     assert list(out.match_count.items()) == list(match_count.items())  # dict order too
     m = data.draw(st.integers(1, len(out.expanded) + 2))
     assert select_slots(out, g, m).slots == _reference_slots(out, g, m)
+
+
+@given(one_pool_triples, st.sets(st.sampled_from(["a", "b", "c", "r", "q", "zzz"]), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_match_count_is_coverage_counted_once(raw, matched):
+    # spot_triples counts every triple's coverage; expansion only appends ids
+    g = build_graph([Triple(*p) for p in raw])
+    spotted = spot_triples(matched, g)
+    before = list(spotted.match_count.items())
+    for tid, t in enumerate(g.triples):
+        assert spotted.match_count[tid] == len(matched & set(t.phrases()))
+    assert set(spotted.match_count) == {tid for tid, t in enumerate(g.triples)
+                                        if matched & set(t.phrases())}
+    out = expand_neighborhood(spotted, g)
+    assert out.match_count is spotted.match_count
+    assert list(out.match_count.items()) == before
+
+
+_MATCH_COUNTS_OF_SEED_7_TASK = """
+from vkmn.spotting import spot_question
+from vkmn.training import make_synthetic_task
+task = make_synthetic_task(seed=7)
+for ex in task.train + task.test:
+    spotted = spot_question(ex.question_tokens, task.graph).spotted
+    print(list(spotted.match_count.items()))
+"""
+
+
+def test_match_count_order_does_not_depend_on_hash_seed():
+    src = os.path.dirname(os.path.dirname(vkmn.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, "-c", _MATCH_COUNTS_OF_SEED_7_TASK],
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                           capture_output=True, text=True, check=True).stdout
+            for seed in ("0", "1")]
+    assert outs[0].count("\n") == 92 and "), (" in outs[0]
+    assert outs[0] == outs[1]
 
 
 @given(one_pool_triples, st.data())
