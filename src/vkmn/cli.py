@@ -137,11 +137,11 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
 
 
 def cmd_train_transe(args: argparse.Namespace) -> int:
-    graph = load_kb(args.kb)
     config = TransEConfig(dim=args.dim, margin=args.margin, lr=args.lr,
                           epochs=args.epochs,
                           negatives_per_positive=args.negatives,
                           seed=args.seed)
+    graph = load_kb(args.kb)
     table = train_transe(graph, config)
     save_embeddings(table, args.out)
     summary = {
@@ -196,9 +196,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.dataset}: no examples")
     dims = _model_dims(args, len(examples[0].visual_feature))
     _check_feature(args.dataset, examples[0].visual_feature, dims.d, mode)
-    graph, table = _load_memory(args, dims.d_e, mode)
     config = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
                          mode=mode, dims=dims)
+    graph, table = _load_memory(args, dims.d_e, mode)
     params, curve = train(examples, graph, table, config)
     save_checkpoint(params, args.checkpoint)
     summary = {
@@ -306,6 +306,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         for path, examples in ((args.dataset, train_set), (args.test, test_set)):
             if examples:
                 _check_feature(path, examples[0].visual_feature, dims.d, "full")
+    base = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed, dims=dims)
     transe_table = _load_table(args, graph, dims.d_e, "full")
     bow_table = make_bow_table(graph, transe_table.dim, args.seed)
 
@@ -315,9 +316,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         mode = _internal_mode(cli_mode)
         table = None if mode == "q_only" else (
             bow_table if mode == "bow" else transe_table)
-        config = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
-                             mode=mode, dims=dims)
-        params, curve = train(train_set, graph, table, config)
+        params, curve = train(train_set, graph, table, replace(base, mode=mode))
         for split, examples in splits.items():
             reports[split][cli_mode] = replace(
                 evaluate(examples, params, graph, table, mode), loss_curve=curve)

@@ -8,6 +8,7 @@ on the unit sphere, relations are unconstrained.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -31,6 +32,9 @@ class TransEConfig:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
+        for name in ("margin", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
         if self.lr <= 0:
@@ -201,6 +205,11 @@ def train_transe(graph: KnowledgeGraph, config: TransEConfig) -> EmbeddingTable:
     corruption is not a stored triple (filtered negatives; a corruption
     slot is skipped after 100 failed draws). Entities touched by an update
     are renormalized to unit norm immediately after it.
+
+    Each update reads and writes the rows of the entity and relation
+    matrices through row views, and takes every norm as sqrt(v . v): the
+    operations np.linalg.norm runs on a vector, so the vectors and the
+    history are bit for bit those of indexing the matrices and calling it.
     """
     entities = sorted(graph.entities)
     relations = sorted(graph.relations)
@@ -220,29 +229,31 @@ def train_transe(graph: KnowledgeGraph, config: TransEConfig) -> EmbeddingTable:
                for t in graph.triples]
     stored = set(triples)
     history = TransEHistory()
-
-    def dissim(si: int, ri: int, ti: int):
-        v = ent[si] + rel[ri] - ent[ti]
-        return v, float(np.linalg.norm(v))
+    ent_rows, rel_rows = list(ent), list(rel)  # views: updates land in ent and rel
+    draw, margin = rng.integers, config.margin
+    # lr and the merge's +0.0 start as 0-d float64 arrays: NumPy combines
+    # them with a row faster than a Python number, with the same arithmetic
+    lr, zero = np.array(config.lr, dtype=np.float64), np.zeros(())
 
     for _ in range(config.epochs):
         total = 0.0
-        for i in rng.permutation(len(triples)):
+        for i in rng.permutation(len(triples)).tolist():
             si, ri, ti = triples[i]
             for _ in range(config.negatives_per_positive):
-                corrupt_head = bool(rng.integers(2))
-                neg = None
+                corrupt_head = bool(draw(2))
                 for _ in range(100):
-                    j = int(rng.integers(n_e))
-                    cand = (j, ri, ti) if corrupt_head else (si, ri, j)
-                    if cand not in stored:
-                        neg = cand
+                    j = int(draw(n_e))
+                    nh, nt = (j, ti) if corrupt_head else (si, j)
+                    if (nh, ri, nt) not in stored:
                         break
-                if neg is None:
+                else:
                     continue
-                v_pos, d_pos = dissim(si, ri, ti)
-                v_neg, d_neg = dissim(*neg)
-                loss = config.margin + d_pos - d_neg
+                r = rel_rows[ri]
+                v_pos = ent_rows[si] + r - ent_rows[ti]
+                v_neg = ent_rows[nh] + r - ent_rows[nt]
+                d_pos = math.sqrt(v_pos.dot(v_pos))
+                d_neg = math.sqrt(v_neg.dot(v_neg))
+                loss = margin + d_pos - d_neg
                 if loss <= 0:
                     continue
                 total += loss
@@ -251,12 +262,13 @@ def train_transe(graph: KnowledgeGraph, config: TransEConfig) -> EmbeddingTable:
                 g_pos = v_pos / d_pos if d_pos > 1e-12 else np.zeros(dim)
                 g_neg = v_neg / d_neg if d_neg > 1e-12 else np.zeros(dim)
                 ent_grads: Dict[int, Array] = {}
-                for idx, g in ((si, g_pos), (ti, -g_pos), (neg[0], -g_neg), (neg[2], g_neg)):
-                    ent_grads[idx] = ent_grads.get(idx, 0) + g
-                rel[ri] -= config.lr * (g_pos - g_neg)
+                for idx, g in ((si, g_pos), (ti, -g_pos), (nh, -g_neg), (nt, g_neg)):
+                    ent_grads[idx] = ent_grads.get(idx, zero) + g
+                r -= lr * (g_pos - g_neg)
                 for idx, g in ent_grads.items():
-                    ent[idx] -= config.lr * g
-                    ent[idx] /= np.linalg.norm(ent[idx])
+                    row = ent_rows[idx]
+                    row -= lr * g
+                    row /= math.sqrt(row.dot(row))
         history.epoch_loss.append(total / max(1, len(triples)))
         norms = np.linalg.norm(ent, axis=1)
         history.max_norm_error.append(float(np.max(np.abs(norms - 1.0))))

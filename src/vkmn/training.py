@@ -15,6 +15,7 @@ its report's loss curve stays empty unless the caller attaches train's.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -84,6 +85,8 @@ class TrainConfig:
     dims: ModelDims = field(default_factory=ModelDims)
 
     def __post_init__(self):
+        if not math.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         # lr = 0 is a legal no-op run (params must come back unchanged)
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")

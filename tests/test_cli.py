@@ -109,6 +109,18 @@ def test_train_transe_negatives_above_one(tmp_path):
     assert files["a"].read_bytes() != files["one"].read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                         ("--margin", "inf"), ("--margin", "nan")])
+def test_train_transe_rejects_non_finite_rates(tmp_path, capsys, flag, value):
+    out = tmp_path / "vec.txt"
+    rc = main(["train-transe", "--kb", str(_kb_file(tmp_path)), "--out", str(out),
+               "--dim", "4", "--epochs", "2", flag, value])
+    assert rc == 1
+    name = flag[2:]
+    assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- spot
 
 def test_spot_dataset_jsonl(tmp_path, capsys):
@@ -204,6 +216,29 @@ def test_train_eval_round_trip(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert "accuracy_all" in json.loads(outs[0])
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_lr_fails_before_any_training(tmp_path, capsys, monkeypatch,
+                                                 command, value):
+    synth = _synth(tmp_path)
+    capsys.readouterr()  # drop the make-synth summary
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained with a non-finite lr")
+
+    monkeypatch.setattr("vkmn.cli.train_transe", no_training)
+    monkeypatch.setattr("vkmn.cli.train", no_training)
+    ckpt = tmp_path / "model.bin"
+    files = (["--checkpoint", str(ckpt)] if command == "train"
+             else ["--test", str(synth / "test.jsonl")])
+    rc = main([command, "--dataset", str(synth / "train.jsonl"),
+               "--kb", str(synth / "kb.tsv"), *files,
+               "--knowledge-dim", "8", "--word-dim", "8", f"--lr={value}"])
+    assert rc == 1
+    assert f"error: lr must be finite, got {value}" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_train_takes_d_e_from_its_embeddings_file(tmp_path, capsys, monkeypatch):

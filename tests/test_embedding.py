@@ -220,6 +220,122 @@ def test_transe_config_validation():
     TransEConfig(epochs=0)  # allowed: normalized init only
 
 
+@pytest.mark.parametrize("field", ["lr", "margin"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_transe_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+        TransEConfig(**{field: value})
+
+
+def _reference_transe(graph, config):
+    """train_transe's loop as first written: np.linalg.norm for every norm,
+    ent[idx] indexing for every row and a dissim closure. The oracle its
+    row-view loop must match bit for bit."""
+    entities = sorted(graph.entities)
+    relations = sorted(graph.relations)
+    ent_idx = {e: i for i, e in enumerate(entities)}
+    rel_idx = {r: i for i, r in enumerate(relations)}
+    n_e, dim = len(entities), config.dim
+
+    rng = np.random.default_rng(config.seed)
+    bound = 6.0 / np.sqrt(dim)
+    ent = rng.uniform(-bound, bound, size=(n_e, dim))
+    rel = rng.uniform(-bound, bound, size=(len(relations), dim))
+    ent /= np.linalg.norm(ent, axis=1, keepdims=True)
+
+    triples = [(ent_idx[t.subject], rel_idx[t.relation], ent_idx[t.target])
+               for t in graph.triples]
+    stored = set(triples)
+    epoch_loss, max_norm_error = [], []
+
+    def dissim(si, ri, ti):
+        v = ent[si] + rel[ri] - ent[ti]
+        return v, float(np.linalg.norm(v))
+
+    for _ in range(config.epochs):
+        total = 0.0
+        for i in rng.permutation(len(triples)):
+            si, ri, ti = triples[i]
+            for _ in range(config.negatives_per_positive):
+                corrupt_head = bool(rng.integers(2))
+                neg = None
+                for _ in range(100):
+                    j = int(rng.integers(n_e))
+                    cand = (j, ri, ti) if corrupt_head else (si, ri, j)
+                    if cand not in stored:
+                        neg = cand
+                        break
+                if neg is None:
+                    continue
+                v_pos, d_pos = dissim(si, ri, ti)
+                v_neg, d_neg = dissim(*neg)
+                loss = config.margin + d_pos - d_neg
+                if loss <= 0:
+                    continue
+                total += loss
+                g_pos = v_pos / d_pos if d_pos > 1e-12 else np.zeros(dim)
+                g_neg = v_neg / d_neg if d_neg > 1e-12 else np.zeros(dim)
+                ent_grads = {}
+                for idx, g in ((si, g_pos), (ti, -g_pos), (neg[0], -g_neg), (neg[2], g_neg)):
+                    ent_grads[idx] = ent_grads.get(idx, 0) + g
+                rel[ri] -= config.lr * (g_pos - g_neg)
+                for idx, g in ent_grads.items():
+                    ent[idx] -= config.lr * g
+                    ent[idx] /= np.linalg.norm(ent[idx])
+        epoch_loss.append(total / max(1, len(triples)))
+        norms = np.linalg.norm(ent, axis=1)
+        max_norm_error.append(float(np.max(np.abs(norms - 1.0))))
+    return entities, ent, dict(zip(relations, rel)), epoch_loss, max_norm_error
+
+
+@st.composite
+def _transe_case(draw):
+    # "a" is drawn both as an entity and as a relation, and subject and
+    # target come from one pool, so self-loops (x r x) are common
+    names = ["a", "b", "c", "d", "e"]
+    triples = draw(st.lists(st.tuples(st.sampled_from(names),
+                                      st.sampled_from(["r", "s", "a"]),
+                                      st.sampled_from(names)),
+                            min_size=1, max_size=14))
+    graph = build_graph([Triple(*t) for t in triples])
+    if len(graph.entities) < 2:
+        graph = build_graph([Triple(*t) for t in triples] + [Triple("a", "a", "b")])
+    config = TransEConfig(
+        dim=draw(st.integers(2, 17)),
+        margin=draw(st.floats(1e-3, 10)),
+        lr=draw(st.floats(1e-3, 1)),
+        epochs=draw(st.integers(0, 4)),
+        negatives_per_positive=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return graph, config
+
+
+@given(_transe_case())
+@settings(max_examples=300, deadline=None)
+def test_train_transe_equals_reference_loop_bit_for_bit(case):
+    graph, config = case
+    table = train_transe(graph, config)
+    entities, ent, relations, epoch_loss, max_norm_error = _reference_transe(graph, config)
+    assert list(table.entity_vectors) == entities
+    assert table.entity_matrix.tobytes() == ent.tobytes()
+    assert table.relation_vectors.keys() == relations.keys()
+    assert all(v.tobytes() == relations[r].tobytes()
+               for r, v in table.relation_vectors.items())
+    assert table.history.epoch_loss == epoch_loss
+    assert table.history.max_norm_error == max_norm_error
+
+
+def test_train_transe_skips_a_corruption_slot_nothing_can_fill():
+    # every (x, r, y) over {a, b} is stored, so each of the 100 draws of
+    # every corruption is a stored triple: no update ever runs
+    g = build_graph([Triple(s, "r", t) for s in "ab" for t in "ab"])
+    trained = train_transe(g, TransEConfig(dim=5, epochs=3, seed=3, negatives_per_positive=2))
+    init = train_transe(g, TransEConfig(dim=5, epochs=0, seed=3))
+    assert trained.history.epoch_loss == [0.0, 0.0, 0.0]
+    assert trained.entity_matrix.tobytes() == init.entity_matrix.tobytes()
+    assert trained.relation_vectors["r"].tobytes() == init.relation_vectors["r"].tobytes()
+
+
 # ---------------------------------------------------------------- ranking
 
 def test_rank_tail_perfect_line_embedding():

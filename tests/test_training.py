@@ -72,6 +72,12 @@ def test_train_config_validation():
         TrainConfig(mode="fancy")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_train_config_rejects_non_finite_lr(value):
+    with pytest.raises(ValueError, match=f"lr must be finite, got {value}"):
+        TrainConfig(lr=value)
+
+
 def test_build_answer_vocab_rank_and_ties():
     exs = [VqaExample(["q"], np.zeros(1), a)
            for a in ["red", "red", "blue", "blue", "green"]]
