@@ -102,7 +102,7 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
         raise ValueError("need at least one input: --qa and/or --triples")
     file_triples: List[Triple] = []
     if args.triples:
-        file_triples = [make_triple(*t.phrases())
+        file_triples = [make_triple(*t)
                         for t in load_kb(args.triples).triples]
     extracted: List[Triple] = []
     n_pairs = 0
@@ -370,6 +370,17 @@ def _add_model_dim_flags(p: argparse.ArgumentParser) -> None:
                    help="answer vocabulary cap K")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, checked as the command line is parsed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vkmn",
@@ -393,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--negatives", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_train_transe)
 
@@ -413,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_dim_flags(p)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -423,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb")
     p.add_argument("--embeddings")
     p.add_argument("--mode", choices=CLI_MODES, default="full")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed for the derived embedding table (match training)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
@@ -435,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature", required=True,
                    help="path to a JSON file holding the visual feature vector")
     p.add_argument("--mode", choices=CLI_MODES, default="full")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("gradcheck", help="analytic vs numeric gradients")
     p.add_argument("--mode", choices=CLI_MODES,
                    help="single mode (default: all modes)")
     p.add_argument("--seeds", type=int, default=10, help="number of seeds")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--seed", type=_seed, default=0, help="base seed")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gradcheck)
 
@@ -454,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_dim_flags(p)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("make-synth", help="write the synthetic benchmark files")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--entities", type=int, default=20)
     p.add_argument("--relations", type=int, default=6)
     p.add_argument("--triples", type=int, default=30)

@@ -44,6 +44,8 @@ class TransEConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -210,6 +212,9 @@ def train_transe(graph: KnowledgeGraph, config: TransEConfig) -> EmbeddingTable:
     matrices through row views, and takes every norm as sqrt(v . v): the
     operations np.linalg.norm runs on a vector, so the vectors and the
     history are bit for bit those of indexing the matrices and calling it.
+    An epoch that leaves a non-finite loss, entity or relation vector (an
+    lr so large that the updates overflow) raises RuntimeError naming the
+    epoch and the lr.
     """
     entities = sorted(graph.entities)
     relations = sorted(graph.relations)
@@ -235,7 +240,7 @@ def train_transe(graph: KnowledgeGraph, config: TransEConfig) -> EmbeddingTable:
     # them with a row faster than a Python number, with the same arithmetic
     lr, zero = np.array(config.lr, dtype=np.float64), np.zeros(())
 
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         total = 0.0
         for i in rng.permutation(len(triples)).tolist():
             si, ri, ti = triples[i]
@@ -272,6 +277,11 @@ def train_transe(graph: KnowledgeGraph, config: TransEConfig) -> EmbeddingTable:
         history.epoch_loss.append(total / max(1, len(triples)))
         norms = np.linalg.norm(ent, axis=1)
         history.max_norm_error.append(float(np.max(np.abs(norms - 1.0))))
+        # a NaN entity row makes its norm error NaN
+        if not (math.isfinite(history.epoch_loss[-1])
+                and math.isfinite(history.max_norm_error[-1]) and np.isfinite(rel).all()):
+            raise RuntimeError(f"TransE diverged: non-finite loss or vectors after epoch "
+                               f"{epoch} at lr {config.lr}")
 
     rel.flags.writeable = False
     return EmbeddingTable.adopt(dim, entities, ent, dict(zip(relations, rel)),
@@ -430,8 +440,10 @@ def load_embeddings(path: str, graph: Optional[KnowledgeGraph] = None,
         phrase = _decode_phrase(name[len(RELATION_ROW):] if relation_row else name)
         if not phrase:
             raise ValueError("empty phrase")
-        vec = np.array(fields[1:], dtype=np.float64)
-        if not np.isfinite(vec).all():
+        # float is the parser NumPy's str -> float64 cast calls: same bits,
+        # same accepted strings, same errors
+        vec = list(map(float, fields[1:]))
+        if not all(map(math.isfinite, vec)):
             raise ValueError("non-finite value")
         if name in seen:
             raise ValueError(f"duplicate row for {phrase!r}")

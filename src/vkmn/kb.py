@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from itertools import chain
+from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, KeysView, List,
                     Sequence, Set, Tuple, TypeVar)
 
@@ -100,21 +100,29 @@ def lemmatize_phrase(phrase: str) -> str:
     return " ".join(lemmatize(t) for t in phrase.lower().split())
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    """One knowledge fact. Fields are lowercase lemmatized phrases."""
+class Triple(namedtuple("Triple", "subject relation target")):
+    """One knowledge fact: a named 3-tuple of lowercase lemmatized phrases.
 
-    subject: str
-    relation: str
-    target: str
+    Immutable and slotted; hashes, compares, orders and unpacks as the plain
+    tuple (subject, relation, target). Every way of making one, `_make` and
+    `_replace` included, rejects a blank or whitespace-only field.
+    """
 
-    def __post_init__(self):
-        for name in ("subject", "relation", "target"):
-            if not getattr(self, name).strip():
-                raise ValueError(f"triple {name} must be non-empty, got {getattr(self, name)!r}")
+    __slots__ = ()
 
-    def phrases(self) -> Tuple[str, str, str]:
-        return (self.subject, self.relation, self.target)
+    def __new__(cls, subject: str, relation: str, target: str) -> "Triple":
+        if not (subject.strip() and relation.strip() and target.strip()):
+            for name, value in zip(cls._fields, (subject, relation, target)):
+                if not value.strip():
+                    raise ValueError(f"triple {name} must be non-empty, got {value!r}")
+        return tuple.__new__(cls, (subject, relation, target))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[str]) -> "Triple":
+        return cls(*iterable)
+
+    def phrases(self) -> "Triple":
+        return self
 
     def __str__(self) -> str:
         return f"<{self.subject}, {self.relation}, {self.target}>"
@@ -248,13 +256,8 @@ def canonicalize_relation(r: str, relation_set: Set[str]) -> str:
 
 
 def dedup_triples(triples: Iterable[Triple]) -> List[Triple]:
-    seen = set()
-    out = []
-    for t in triples:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    """The triples without repeats, each at its first occurrence."""
+    return list(dict.fromkeys(triples))
 
 
 def filter_by_frequency(triples: Sequence[Triple], min_count: int = 3) -> List[Triple]:
@@ -267,9 +270,9 @@ def filter_by_frequency(triples: Sequence[Triple], min_count: int = 3) -> List[T
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts: Counter = Counter()
     for t in triples:
-        counts.update(t.phrases())
+        counts.update(t)
     return [t for t in dedup_triples(triples)
-            if all(counts[p] >= min_count for p in t.phrases())]
+            if all(counts[p] >= min_count for p in t)]
 
 
 class KnowledgeGraph:
@@ -279,11 +282,11 @@ class KnowledgeGraph:
     """
 
     def __init__(self, triples: Sequence[Triple]):
-        self.triples: List[Triple] = dedup_triples(triples)
-        phrases = [t.phrases() for t in self.triples]
-        self.frequency: Counter = Counter(chain.from_iterable(phrases))
+        triples = dedup_triples(triples)  # each its own phrase tuple
+        self.triples: List[Triple] = triples
+        self.frequency: Counter = Counter(chain.from_iterable(triples))
         postings = defaultdict(list)
-        for tid, (s, r, t) in enumerate(phrases):
+        for tid, (s, r, t) in enumerate(triples):
             # ids arrive ascending; a phrase in two roles of one triple is listed once
             postings[s].append(tid)
             if r != s:
@@ -294,11 +297,11 @@ class KnowledgeGraph:
         # plain dict, so that reading an unknown phrase cannot add it
         self.entry_index: Dict[str, Tuple[int, ...]] = {
             p: tuple(ids) for p, ids in postings.items()}
-        self.entities: Set[str] = {p for s, _, t in phrases for p in (s, t)}
-        self.relations: Set[str] = {r for _, r, _ in phrases}
+        self.entities: Set[str] = set(chain.from_iterable(map(itemgetter(0, 2), triples)))
+        self.relations: Set[str] = set(map(itemgetter(1), triples))
         freq = self.frequency
         # packed, 8 bytes a triple rather than a list of int objects
-        self.frequency_sums = array("q", [freq[s] + freq[r] + freq[t] for s, r, t in phrases])
+        self.frequency_sums = array("q", [freq[s] + freq[r] + freq[t] for s, r, t in triples])
         self._entry_set = frozenset(self.entry_index)
 
     def __len__(self) -> int:
@@ -315,7 +318,7 @@ class KnowledgeGraph:
         combine as a set. One sort merges the phrases' ascending postings.
         """
         index = self.entry_index
-        phrases = {p for tid in tids for p in self.triples[tid].phrases()}
+        phrases = {p for tid in tids for p in self.triples[tid]}
         out = dict.fromkeys(sorted(chain.from_iterable(map(index.__getitem__, phrases))))
         for tid in tids:
             out.pop(tid, None)

@@ -170,7 +170,7 @@ def slot_features(slots: Union[SlotAssignment, Sequence[SlotAssignment]],
                 repeats.append((first[tid], b * m + i))
                 continue
             first[tid] = b * m + i
-            subject, relation, target = graph.triples[tid].phrases()
+            subject, relation, target = graph.triples[tid]
             phi[b, :, i] = (embed_entry(subject, table),
                             embed_entry(relation, table, is_relation=True),
                             embed_entry(target, table))

@@ -92,6 +92,8 @@ class TrainConfig:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -344,6 +346,8 @@ def make_synthetic_task(seed: int = 7, n_entities: int = 20, n_relations: int = 
         raise ValueError(f"need at least 4 entities, got {n_entities}")
     if n_relations < 2:
         raise ValueError(f"need at least 2 relations, got {n_relations}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     entities = [f"obj{i}" for i in range(n_entities)]
     relations = [f"rel{j}" for j in range(n_relations)]
     rng = np.random.default_rng(seed)
@@ -385,8 +389,8 @@ def make_synthetic_task(seed: int = 7, n_entities: int = 20, n_relations: int = 
     skip_tokens = set()
     pair_examples: List[Tuple[VqaExample, VqaExample]] = []
     for t1, t2 in chain_tids:
-        a, r, b = graph.triples[t1].phrases()
-        _, _, c = graph.triples[t2].phrases()
+        a, r, b = graph.triples[t1]
+        _, _, c = graph.triples[t2]
         assert a != c
         u_pair = _feature(seed, 50_000 + t1, dim)
         q1 = VqaExample(["what", b, r], u_pair, c)
@@ -396,8 +400,7 @@ def make_synthetic_task(seed: int = 7, n_entities: int = 20, n_relations: int = 
 
     train: List[VqaExample] = []
     test: List[VqaExample] = []
-    for tid, triple in enumerate(graph.triples):
-        s, r, t = triple.phrases()
+    for tid, (s, r, t) in enumerate(graph.triples):
         u = _feature(seed, 1_000 + tid, dim)
         is_test = (tid not in chain_members
                    and ((tid * 2654435761) % (2 ** 32)) % 5 == 0)

@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from vkmn.cli import main
@@ -119,6 +120,52 @@ def test_train_transe_rejects_non_finite_rates(tmp_path, capsys, flag, value):
     name = flag[2:]
     assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_transe_that_diverges_fails_and_writes_nothing(tmp_path, capsys):
+    # a finite but huge lr overflows the first epoch to inf and NaN
+    out = tmp_path / "vec.txt"
+    with np.errstate(all="ignore"):
+        rc = main(["train-transe", "--kb", str(_kb_file(tmp_path)), "--out", str(out),
+                   "--dim", "4", "--epochs", "1", "--lr", "1e308", "--json"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: TransE diverged: non-finite loss or vectors after epoch 1 " \
+           "at lr 1e+308" in captured.err
+    assert not out.exists()
+
+
+# the options each subcommand needs besides --seed: file names, made under tmp_path
+_SEEDED_COMMANDS = {
+    "train-transe": ["--kb", "kb.tsv", "--out", "vec.txt"],
+    "train": ["--dataset", "train.jsonl", "--checkpoint", "model.bin"],
+    "eval": ["--dataset", "test.jsonl", "--checkpoint", "model.bin"],
+    "query": ["--checkpoint", "model.bin", "--feature", "feature.json"],
+    "gradcheck": [],
+    "ablate": [],
+    "make-synth": ["--out", "synth"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SEEDED_COMMANDS))
+@pytest.mark.parametrize("seed", [["--seed=-1"], ["--seed", "-1"]])
+def test_negative_seed_is_rejected_when_the_command_line_is_parsed(tmp_path, capsys,
+                                                                   command, seed):
+    args = [a if a.startswith("--") else str(tmp_path / a)
+            for a in _SEEDED_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, *seed])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_seed_that_is_not_an_integer_is_named(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--seed", "x"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- spot

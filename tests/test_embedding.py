@@ -217,7 +217,17 @@ def test_transe_config_validation():
         TransEConfig(lr=-0.1)
     with pytest.raises(ValueError):
         TransEConfig(epochs=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TransEConfig(seed=-1)
     TransEConfig(epochs=0)  # allowed: normalized init only
+
+
+def test_train_transe_stops_when_it_diverges():
+    # a finite but huge lr overflows the first epoch's updates to inf and NaN
+    g = _chain_graph(6)
+    with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match=r"TransE diverged: .* after epoch 1 at lr 1e\+308"):
+        train_transe(g, TransEConfig(dim=4, lr=1e308, epochs=3, seed=0))
 
 
 @pytest.mark.parametrize("field", ["lr", "margin"])

@@ -1,7 +1,10 @@
 """Triple store: lemmatizer, extraction templates, canonicalization, graph."""
 
 import collections
+import copy
 import json
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +104,53 @@ def test_triple_is_slotted_and_keeps_value_semantics():
     assert str(t) == "<dog, eat, bone>"
     with pytest.raises(AttributeError):
         t.subject = "cat"
+
+
+@pytest.mark.parametrize("copy_of", [lambda t: pickle.loads(pickle.dumps(t)),
+                                     copy.copy, copy.deepcopy])
+def test_triple_survives_pickle_and_copy(copy_of):
+    t = Triple("dog", "eat", "bone")
+    back = copy_of(t)
+    assert type(back) is Triple and back == t
+    assert (back.subject, back.relation, back.target) == ("dog", "eat", "bone")
+
+
+def test_triple_hashes_as_its_phrase_tuple():
+    for fields in [("dog", "eat", "bone"), ("a", "a", "a"), ("sit on top", "of", "red car")]:
+        assert hash(Triple(*fields)) == hash(fields)
+
+
+def test_triple_repr_and_str():
+    t = Triple("dog", "eat", "bone")
+    assert repr(t) == "Triple(subject='dog', relation='eat', target='bone')"
+    assert str(t) == f"{t}" == "<dog, eat, bone>"
+
+
+@pytest.mark.parametrize("make", [
+    lambda s, r, t: Triple(s, r, t),
+    lambda s, r, t: Triple(subject=s, relation=r, target=t),
+    lambda s, r, t: Triple._make([s, r, t]),
+    lambda s, r, t: Triple("x", "y", "z")._replace(subject=s, relation=r, target=t),
+])
+@pytest.mark.parametrize("blank", ["", " ", "\t\u3000"])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_every_triple_constructor_rejects_a_blank_field(make, blank, at):
+    fields = ["dog", "eat", "bone"]
+    fields[at] = blank
+    name = ("subject", "relation", "target")[at]
+    want = f"triple {name} must be non-empty, got {blank!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        make(*fields)
+
+
+def test_triple_is_the_tuple_of_its_phrases():
+    t = Triple("dog", "eat", "bone")
+    assert t == ("dog", "eat", "bone") and ("dog", "eat", "bone") == t
+    assert t.phrases() == ("dog", "eat", "bone")
+    s, r, o = t
+    assert (s, r, o) == ("dog", "eat", "bone")
+    assert Triple("a", "b", "c") < Triple("a", "c", "a") < ("b", "a", "a")
+    assert {t: 1}[("dog", "eat", "bone")] == 1
 
 
 def test_make_triple_normalizes():

@@ -4,6 +4,8 @@ raises ValueError naming the file and the line (the byte, for checkpoints)."""
 
 import json
 import re
+from collections import Counter, defaultdict
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -275,6 +277,107 @@ def test_every_flipped_string_byte_names_the_file(tmp_path):
         path.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:])
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(path)
+
+
+# ---------------------------------------------------------------- oracles
+
+def _reference_graph(triples):
+    """KnowledgeGraph's build as written for a slotted-dataclass Triple: a
+    list of phrase tuples, `defaultdict` postings, set comprehensions and a
+    `Counter`. The oracle load_kb must match field for field, orders
+    included."""
+    seen, kept = set(), []
+    for t in triples:
+        if t not in seen:
+            seen.add(t)
+            kept.append(t)
+    phrases = [(t.subject, t.relation, t.target) for t in kept]
+    frequency = Counter(chain.from_iterable(phrases))
+    postings = defaultdict(list)
+    for tid, (s, r, t) in enumerate(phrases):
+        postings[s].append(tid)
+        if r != s:
+            postings[r].append(tid)
+        if t != s and t != r:
+            postings[t].append(tid)
+    return {
+        "triples": phrases,
+        "entry_index": [(p, tuple(ids)) for p, ids in postings.items()],
+        "frequency": list(frequency.items()),
+        "frequency_sums": [frequency[s] + frequency[r] + frequency[t] for s, r, t in phrases],
+        "entities": list({p for s, _, t in phrases for p in (s, t)}),
+        "relations": list({r for _, r, _ in phrases}),
+    }
+
+
+# one pool for every field: self-loops, and phrases that are both entity and
+# relation; few enough that rows repeat
+_kb_phrase = st.sampled_from(["dog", "eat", "bone", "part of", "a b", "r"])
+_kb_rows = st.lists(st.one_of(st.tuples(_kb_phrase, _kb_phrase, _kb_phrase).map("\t".join),
+                              st.sampled_from(BLANK_LINES)), max_size=30)
+
+
+@given(_kb_rows)
+@settings(max_examples=200, deadline=None)
+def test_load_kb_matches_the_reference_build(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("kb") / "kb.tsv"
+    path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    graph = load_kb(path)
+    want = _reference_graph([Triple(*row.split("\t")) for row in rows if row.strip()])
+    assert all(type(t) is Triple for t in graph.triples)
+    assert [tuple(t) for t in graph.triples] == want["triples"]
+    assert list(graph.entry_index.items()) == want["entry_index"]
+    assert list(graph.frequency.items()) == want["frequency"]
+    assert graph.frequency_sums.tolist() == want["frequency_sums"]
+    assert list(graph.entities) == want["entities"]
+    assert list(graph.relations) == want["relations"]
+
+
+_exact_doubles = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}")
+# spellings that float and NumPy's str -> float64 cast both accept, and ones both reject
+_FINITE_SPELLINGS = ["1_0", "\u0661\u0662", "\uff11\uff12", "-0", "1e-400"]
+_INFINITE_SPELLINGS = ["infinity", "1e400"]
+_REJECTED_SPELLINGS = ["0x10", "1__0", ""]
+
+
+@given(st.lists(_exact_doubles | st.sampled_from(_FINITE_SPELLINGS + _INFINITE_SPELLINGS),
+                min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_float_parses_every_value_as_numpy_does(fields):
+    assert np.array(list(map(float, fields))).tobytes() == \
+        np.array(fields, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("field", _REJECTED_SPELLINGS)
+def test_float_and_numpy_reject_the_same_spellings(field):
+    with pytest.raises(ValueError) as by_float:
+        float(field)
+    with pytest.raises(ValueError) as by_numpy:
+        np.array([field], dtype=np.float64)
+    assert str(by_float.value) == str(by_numpy.value)
+
+
+@given(st.lists(st.lists(_exact_doubles | st.sampled_from(_FINITE_SPELLINGS),
+                         min_size=3, max_size=3), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_load_embeddings_reads_the_bits_numpy_reads(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("vec") / "vec.txt"
+    lines = [f"e{i} " + " ".join(row) for i, row in enumerate(rows)]
+    path.write_text(f"{len(rows)} 3\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    table = load_embeddings(path)
+    for i, row in enumerate(rows):
+        want = np.array(row, dtype=np.float64)
+        assert table.entity_vectors[f"e{i}"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field, error", [(f, "non-finite value") for f in _INFINITE_SPELLINGS]
+                         + [(f, f"could not convert string to float: {f!r}")
+                            for f in _REJECTED_SPELLINGS])
+def test_load_embeddings_rejects_a_value_at_its_line(tmp_path, field, error):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"2 2\na 1 2\nb 1 {field}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {error}')}$"):
+        load_embeddings(path)
 
 
 # ---------------------------------------------------------------- round trips

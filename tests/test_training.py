@@ -78,6 +78,13 @@ def test_train_config_rejects_non_finite_lr(value):
         TrainConfig(lr=value)
 
 
+def test_negative_seeds_are_rejected_by_name():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        make_synthetic_task(seed=-1)
+
+
 def test_build_answer_vocab_rank_and_ties():
     exs = [VqaExample(["q"], np.zeros(1), a)
            for a in ["red", "red", "blue", "blue", "green"]]
