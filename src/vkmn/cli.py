@@ -12,7 +12,9 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,9 +22,9 @@ import numpy as np
 from .embedding import (EmbeddingTable, TransEConfig, load_embeddings,
                         make_bow_table, save_embeddings, train_transe)
 from .kb import (KnowledgeGraph, Triple, build_graph, canonicalize_relation,
-                 dedup_triples, extract_triples_from_qa, filter_by_frequency,
-                 lemmatize, load_kb, load_qa_pairs, make_triple, read_question,
-                 read_records, save_kb)
+                 dedup_triples, extract_triples_from_qa, keep_frequent, lemmatize,
+                 load_kb, load_qa_pairs, make_triple, read_question, read_records,
+                 save_kb)
 from .model import MODES, ModelDims, load_checkpoint, save_checkpoint
 from .spotting import spot_question
 from .training import (EvalReport, TrainConfig, answer_question, evaluate,
@@ -119,7 +121,9 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
                      for t in extracted]
     merged = file_triples + extracted
     deduped = dedup_triples(merged)
-    kept = filter_by_frequency(merged, args.min_count)
+    # filter_by_frequency(merged) without deduplicating again: phrases are
+    # counted over the raw list, repeats included
+    kept = keep_frequent(deduped, Counter(chain.from_iterable(merged)), args.min_count)
     graph = build_graph(kept)
     save_kb(graph, args.out)
     stats = {

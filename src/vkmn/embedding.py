@@ -214,7 +214,8 @@ def train_transe(graph: KnowledgeGraph, config: TransEConfig) -> EmbeddingTable:
     history are bit for bit those of indexing the matrices and calling it.
     An epoch that leaves a non-finite loss, entity or relation vector (an
     lr so large that the updates overflow) raises RuntimeError naming the
-    epoch and the lr.
+    epoch and the lr; the epochs run with NumPy's overflow and invalid-value
+    warnings off, so that error is all such a run reports.
     """
     entities = sorted(graph.entities)
     relations = sorted(graph.relations)
@@ -240,48 +241,51 @@ def train_transe(graph: KnowledgeGraph, config: TransEConfig) -> EmbeddingTable:
     # them with a row faster than a Python number, with the same arithmetic
     lr, zero = np.array(config.lr, dtype=np.float64), np.zeros(())
 
-    for epoch in range(1, config.epochs + 1):
-        total = 0.0
-        for i in rng.permutation(len(triples)).tolist():
-            si, ri, ti = triples[i]
-            for _ in range(config.negatives_per_positive):
-                corrupt_head = bool(draw(2))
-                for _ in range(100):
-                    j = int(draw(n_e))
-                    nh, nt = (j, ti) if corrupt_head else (si, j)
-                    if (nh, ri, nt) not in stored:
-                        break
-                else:
-                    continue
-                r = rel_rows[ri]
-                v_pos = ent_rows[si] + r - ent_rows[ti]
-                v_neg = ent_rows[nh] + r - ent_rows[nt]
-                d_pos = math.sqrt(v_pos.dot(v_pos))
-                d_neg = math.sqrt(v_neg.dot(v_neg))
-                loss = margin + d_pos - d_neg
-                if loss <= 0:
-                    continue
-                total += loss
-                # d||v|| / dv = v/||v||; a zero-length difference has no
-                # usable direction, so its gradient is dropped.
-                g_pos = v_pos / d_pos if d_pos > 1e-12 else np.zeros(dim)
-                g_neg = v_neg / d_neg if d_neg > 1e-12 else np.zeros(dim)
-                ent_grads: Dict[int, Array] = {}
-                for idx, g in ((si, g_pos), (ti, -g_pos), (nh, -g_neg), (nt, g_neg)):
-                    ent_grads[idx] = ent_grads.get(idx, zero) + g
-                r -= lr * (g_pos - g_neg)
-                for idx, g in ent_grads.items():
-                    row = ent_rows[idx]
-                    row -= lr * g
-                    row /= math.sqrt(row.dot(row))
-        history.epoch_loss.append(total / max(1, len(triples)))
-        norms = np.linalg.norm(ent, axis=1)
-        history.max_norm_error.append(float(np.max(np.abs(norms - 1.0))))
-        # a NaN entity row makes its norm error NaN
-        if not (math.isfinite(history.epoch_loss[-1])
-                and math.isfinite(history.max_norm_error[-1]) and np.isfinite(rel).all()):
-            raise RuntimeError(f"TransE diverged: non-finite loss or vectors after epoch "
-                               f"{epoch} at lr {config.lr}")
+    # an overflowing update is caught as a non-finite epoch below, so NumPy's
+    # overflow and invalid-value warnings on the way there are not printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            total = 0.0
+            for i in rng.permutation(len(triples)).tolist():
+                si, ri, ti = triples[i]
+                for _ in range(config.negatives_per_positive):
+                    corrupt_head = bool(draw(2))
+                    for _ in range(100):
+                        j = int(draw(n_e))
+                        nh, nt = (j, ti) if corrupt_head else (si, j)
+                        if (nh, ri, nt) not in stored:
+                            break
+                    else:
+                        continue
+                    r = rel_rows[ri]
+                    v_pos = ent_rows[si] + r - ent_rows[ti]
+                    v_neg = ent_rows[nh] + r - ent_rows[nt]
+                    d_pos = math.sqrt(v_pos.dot(v_pos))
+                    d_neg = math.sqrt(v_neg.dot(v_neg))
+                    loss = margin + d_pos - d_neg
+                    if loss <= 0:
+                        continue
+                    total += loss
+                    # d||v|| / dv = v/||v||; a zero-length difference has no
+                    # usable direction, so its gradient is dropped.
+                    g_pos = v_pos / d_pos if d_pos > 1e-12 else np.zeros(dim)
+                    g_neg = v_neg / d_neg if d_neg > 1e-12 else np.zeros(dim)
+                    ent_grads: Dict[int, Array] = {}
+                    for idx, g in ((si, g_pos), (ti, -g_pos), (nh, -g_neg), (nt, g_neg)):
+                        ent_grads[idx] = ent_grads.get(idx, zero) + g
+                    r -= lr * (g_pos - g_neg)
+                    for idx, g in ent_grads.items():
+                        row = ent_rows[idx]
+                        row -= lr * g
+                        row /= math.sqrt(row.dot(row))
+            history.epoch_loss.append(total / max(1, len(triples)))
+            norms = np.linalg.norm(ent, axis=1)
+            history.max_norm_error.append(float(np.max(np.abs(norms - 1.0))))
+            # a NaN entity row makes its norm error NaN
+            if not (math.isfinite(history.epoch_loss[-1])
+                    and math.isfinite(history.max_norm_error[-1]) and np.isfinite(rel).all()):
+                raise RuntimeError(f"TransE diverged: non-finite loss or vectors after epoch "
+                                   f"{epoch} at lr {config.lr}")
 
     rel.flags.writeable = False
     return EmbeddingTable.adopt(dim, entities, ent, dict(zip(relations, rel)),

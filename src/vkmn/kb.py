@@ -15,7 +15,9 @@ from collections import Counter, defaultdict, namedtuple
 from itertools import chain
 from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, KeysView, List,
-                    Sequence, Set, Tuple, TypeVar)
+                    Mapping, Sequence, Set, Tuple, TypeVar)
+
+import numpy as np
 
 R = TypeVar("R")
 
@@ -260,25 +262,32 @@ def dedup_triples(triples: Iterable[Triple]) -> List[Triple]:
     return list(dict.fromkeys(triples))
 
 
+def keep_frequent(triples: Iterable[Triple], counts: Mapping[str, int],
+                  min_count: int) -> List[Triple]:
+    """The triples, in order, whose every phrase has a count >= min_count."""
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    return [t for t in triples if all(counts[p] >= min_count for p in t)]
+
+
 def filter_by_frequency(triples: Sequence[Triple], min_count: int = 3) -> List[Triple]:
     """Drop triples containing any phrase rarer than min_count.
 
     Counts are taken once over the raw input (duplicates included), not
     iterated to a fixpoint; output is deduplicated in first-seen order.
     """
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counts: Counter = Counter()
-    for t in triples:
-        counts.update(t)
-    return [t for t in dedup_triples(triples)
-            if all(counts[p] >= min_count for p in t)]
+    return keep_frequent(dedup_triples(triples), Counter(chain.from_iterable(triples)),
+                         min_count)
 
 
 class KnowledgeGraph:
     """Deduplicated triple store indexed by phrase.
 
     Triple ids are insertion order after dedup. Immutable after build.
+    frequency_sums[t] is the summed KB frequency of triple t's three
+    phrases; prior[t] is t's place in the graph's fixed ranking order,
+    frequency sum descending, then id ascending, so that ranking by prior
+    is ranking by (-frequency_sums[t], t) with a one-int key.
     """
 
     def __init__(self, triples: Sequence[Triple]):
@@ -302,6 +311,10 @@ class KnowledgeGraph:
         freq = self.frequency
         # packed, 8 bytes a triple rather than a list of int objects
         self.frequency_sums = array("q", [freq[s] + freq[r] + freq[t] for s, r, t in triples])
+        # one stable sort: equal sums keep ascending ids
+        order = np.argsort(-np.frombuffer(self.frequency_sums, dtype=np.int64), kind="stable")
+        self.prior = array("q", bytes(8 * len(order)))
+        np.frombuffer(self.prior, dtype=np.int64)[order] = np.arange(len(order))
         self._entry_set = frozenset(self.entry_index)
 
     def __len__(self) -> int:

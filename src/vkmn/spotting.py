@@ -9,9 +9,10 @@ Coverage, the number of distinct matched entries among a triple's phrases,
 is counted once per question, by spot_triples; that one Counter is the
 match_count every later stage reads. Each stage works in proportion to what
 it keeps. The graph's postings are ascending, so the one-hop widening is one
-sort that merges presorted runs, and ranking sorts only the few triples that
-cover a matched entry, falling back to the rest only when those cannot fill
-the M slots.
+sort that merges presorted runs. Ranking reads the graph's fixed prior order
+(frequency sum descending, id ascending) as a one-int key, and sorts only the
+few triples that cover a matched entry, falling back to the rest only when
+those cannot fill the M slots.
 """
 
 from __future__ import annotations
@@ -110,20 +111,22 @@ def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -
     """Rank expanded triples into exactly m_slots slots, padding with nulls.
 
     Rank: match_count desc, then frequency-sum desc (phrases common in the
-    KB act as a prior), then triple id for determinism. Match counts are
-    coverage counts, never negative, and an id without one counts 0. So
-    only the triples that cover a matched entry are ranked by the full key;
-    the zero-count ones are sorted, by frequency-sum and id, only when fewer
-    than m_slots triples cover an entry.
+    KB act as a prior), then triple id for determinism. The last two are
+    the graph's fixed prior order, so the triples are sorted by prior and
+    then, stably, by match_count: equal counts keep their prior order.
+    Match counts are coverage counts, never negative, and an id without one
+    counts 0. So only the triples that cover a matched entry are ranked by
+    both; the zero-count ones are sorted by prior only when fewer than
+    m_slots triples cover an entry.
     """
     if m_slots < 1:
         raise ValueError(f"need at least one slot, got {m_slots}")
-    counts, sums = spotted.match_count, graph.frequency_sums
-    chosen = sorted(filter(counts.get, spotted.expanded),
-                    key=lambda tid: (-counts[tid], -sums[tid], tid))[:m_slots]
+    counts, prior = spotted.match_count, graph.prior.__getitem__
+    chosen = sorted(filter(counts.get, spotted.expanded), key=prior)
+    chosen.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay in prior order
+    del chosen[m_slots:]
     if len(chosen) < m_slots:
-        rest = sorted(filterfalse(counts.get, spotted.expanded))
-        rest.sort(key=sums.__getitem__, reverse=True)  # stable: ties stay in id order
+        rest = sorted(filterfalse(counts.get, spotted.expanded), key=prior)
         chosen += rest[:m_slots - len(chosen)]
     return SlotAssignment(slots=chosen + [None] * (m_slots - len(chosen)), spotted=spotted)
 

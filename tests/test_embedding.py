@@ -1,6 +1,7 @@
 """Knowledge embeddings: BoW means, translation scoring, margin SGD, ranks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,15 @@ def test_train_transe_stops_when_it_diverges():
     with np.errstate(all="ignore"), pytest.raises(
             RuntimeError, match=r"TransE diverged: .* after epoch 1 at lr 1e\+308"):
         train_transe(g, TransEConfig(dim=4, lr=1e308, epochs=3, seed=0))
+
+
+def test_a_diverging_transe_run_raises_without_numpy_warnings():
+    # the overflow to inf and NaN is reported by the RuntimeError alone
+    g = _chain_graph(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"TransE diverged: .* after epoch 1"):
+            train_transe(g, TransEConfig(dim=4, lr=1e308, epochs=3, seed=0))
 
 
 @pytest.mark.parametrize("field", ["lr", "margin"])

@@ -19,6 +19,7 @@ from vkmn.kb import (
     dedup_triples,
     extract_triples_from_qa,
     filter_by_frequency,
+    keep_frequent,
     lemmatize,
     lemmatize_phrase,
     load_kb,
@@ -269,6 +270,16 @@ def test_filter_min_count_one_is_dedup():
 def test_filter_rejects_bad_min_count():
     with pytest.raises(ValueError):
         filter_by_frequency([], min_count=0)
+    with pytest.raises(ValueError, match="min_count must be >= 1, got 0"):
+        keep_frequent([], {}, min_count=0)
+
+
+def test_keep_frequent_filters_in_order_by_the_counts_given():
+    # counts of a raw list the triples came from, not of the triples themselves
+    triples = [_t("x", "y", "z"), _t("a", "b", "c"), _t("a", "b", "d")]
+    counts = collections.Counter({"a": 4, "b": 4, "c": 3, "d": 1, "x": 3, "y": 3, "z": 3})
+    assert keep_frequent(triples, counts, min_count=3) == [_t("x", "y", "z"), _t("a", "b", "c")]
+    assert keep_frequent(triples, counts, min_count=4) == []
 
 
 @given(

@@ -22,6 +22,7 @@ from vkmn.spotting import (
     spot_question,
     spot_triples,
 )
+from vkmn.training import make_synthetic_task
 
 
 def _graph():
@@ -298,6 +299,15 @@ def test_entry_index_postings_are_strictly_ascending_tuples(raw):
         assert ids == tuple(tid for tid, t in enumerate(g.triples) if phrase in t.phrases())
 
 
+@given(one_pool_triples)
+@settings(max_examples=300, deadline=None)
+def test_prior_is_the_frequency_sum_then_id_order(raw):
+    g = build_graph([Triple(*p) for p in raw])
+    assert sorted(g.prior) == list(range(len(g)))
+    by_prior = sorted(range(len(g)), key=g.prior.__getitem__)
+    assert by_prior == sorted(range(len(g)), key=lambda tid: (-g.frequency_sums[tid], tid))
+
+
 @given(one_pool_triples, st.sets(st.sampled_from(["a", "b", "c", "r", "q", "zzz"]), max_size=5),
        st.data())
 @settings(max_examples=300, deadline=None)
@@ -326,6 +336,20 @@ def test_match_count_is_coverage_counted_once(raw, matched):
     out = expand_neighborhood(spotted, g)
     assert out.match_count is spotted.match_count
     assert list(out.match_count.items()) == before
+
+
+def test_select_slots_matches_heapq_on_the_2k_triple_task():
+    # about 90 of a question's expanded triples cover a matched entry here,
+    # where the seed-7 reference task has a handful
+    task = make_synthetic_task(n_entities=200, n_relations=20, n_triples=2000)
+    g = task.graph
+    covering = 0
+    for ex in task.train:
+        spotted = spot_question(ex.question_tokens, g).spotted
+        covering += sum(1 for tid in spotted.expanded if spotted.match_count.get(tid))
+        for m in (1, 8, 200):
+            assert select_slots(spotted, g, m).slots == _reference_slots(spotted, g, m)
+    assert covering > 50 * len(task.train)
 
 
 _MATCH_COUNTS_OF_SEED_7_TASK = """
