@@ -98,14 +98,24 @@ def cross_entropy_loss(logits: Array, label: int) -> float:
     return _log_sum_exp(logits) - float(logits[label])
 
 
-def cross_entropy_grad(logits: Array, label: int) -> Array:
-    """d cross_entropy_loss / d logits = softmax(logits) - onehot(label).
+def cross_entropy_grad(logits: Array, label) -> Array:
+    """d cross_entropy_loss / d logits = softmax(logits) - onehot(label),
+    row by row.
 
-    logits must be a 1-d float64 array, as forward makes them: the loss
-    already checked them, so they are not converted a second time.
+    logits is one row (K,) with a label, or rows (..., K) with an int
+    array of labels of shape (...), one per row. They must be float64, as
+    forward makes them, so they are not converted. Each row's bits are
+    those of a one-row call on it.
     """
-    grad = _softmax(logits)
-    grad[label] -= 1.0
+    label = np.asarray(label)
+    if label.shape != logits.shape[:-1]:
+        raise ValueError(f"labels of shape {label.shape} for logits of shape {logits.shape}; "
+                         f"it takes one label per row")
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    grad = e / e.sum(axis=-1, keepdims=True)
+    # row by row, so a label out of range fails or wraps within its own row
+    for row, k in zip(grad.reshape(-1, grad.shape[-1]), label.reshape(-1)):
+        row[k] -= 1.0
     return grad
 
 

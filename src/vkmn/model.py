@@ -105,32 +105,34 @@ def init_params(vocab: Sequence[str], answer_vocab: Sequence[str],
 
 # --- forward/backward ------------------------------------------------------------
 
-def _mean_words(tokens: Sequence[str], params: ModelParams) -> Tuple[Array, List[int]]:
-    """The question's word vectors summed one known token at a time and
-    divided by its token count, and the sorted rows it read."""
-    if not tokens:
-        raise ValueError("question must have at least one token")
-    # sorting the hit rows makes the sum independent of token order, bit for bit
-    known_ids = sorted(params.token_index[tok] for tok in tokens
-                       if tok in params.token_index)
-    wt = params.matrices["word_table"]
-    m_bar = np.zeros(params.dims.d_w, dtype=np.float64)
-    for tid in known_ids:
-        m_bar += wt[tid]
-    m_bar /= len(tokens)
+def _mean_words(rows: Sequence, params: ModelParams) -> Tuple[Array, List[List[int]]]:
+    """Each row's mean word vector as one (B, d_w) array, and its sorted known
+    ids: the known word vectors added one at a time in id order, divided by
+    the token count; a question that repeats is summed once."""
+    words: Dict[Tuple[str, ...], Tuple[Array, List[int]]] = {}  # question -> mean, ids
+    m_bar = np.empty((len(rows), params.dims.d_w))
+    known_ids = []
+    for b, row in enumerate(map(tuple, rows)):
+        if not row:
+            raise ValueError("question must have at least one token")
+        if row not in words:
+            # sorting the hit rows makes the sum independent of token order, bit for bit
+            ids = sorted(params.token_index[tok] for tok in row if tok in params.token_index)
+            total = np.zeros(params.dims.d_w)  # its own array: += on a view of m_bar is slower
+            for tid in ids:
+                total += params.matrices["word_table"][tid]
+            words[row] = total / len(row), ids
+        m_bar[b], ids = words[row]
+        known_ids.append(ids)
     return m_bar, known_ids
 
 
-def _mean_words_rows(rows: Sequence[Sequence[str]], n: int, params: ModelParams) -> Array:
-    """_mean_words' vector of each of n rows as one (n, d_w) array; a
-    question that repeats is summed once."""
-    if len(rows) != n or any(isinstance(row, str) for row in rows):
-        raise ValueError(f"a stack of {n} images takes {n} token lists, one per row")
-    words: Dict[Tuple[str, ...], Array] = {}
-    for row in map(tuple, rows):
-        if row not in words:
-            words[row] = _mean_words(row, params)[0]
-    return np.array([words[row] for row in map(tuple, rows)])
+def _outer_sum(x: Array, y: Array) -> Array:
+    """The outer products x_i y_i^T summed over every leading index i, as a
+    (k, l) array for x (..., k) and y of l entries per index: one BLAS
+    product even for one row, where @ would loop over the entries in C."""
+    rows = x.size // x.shape[-1]
+    return np.dot(x.reshape(rows, -1).T, y.reshape(rows, -1))
 
 
 def predict(q_prime: Array, W_o: Array) -> Tuple[int, Array]:
@@ -183,15 +185,17 @@ def slot_features(slots: Union[SlotAssignment, Sequence[SlotAssignment]],
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass. The memory fields hold one row
-    per block in `blocks`, or are None when the memory does not run. The
-    shapes are those of one row; a call of B rows puts a leading B axis on
-    m_bar, t, u_eff, q, q_prime, logits and every memory array, and leaves
-    known_ids and n_tokens None: only backward reads them, on one row."""
+    """Every intermediate of one forward pass. The shapes below are one
+    row's; a call of B rows puts a leading B axis on every array, and its
+    known_ids, n_tokens and live (each row's sorted known word ids, token
+    count and whether it has a live slot) are lists of B and a (B,) array.
+    The memory fields hold one row per block in `blocks`, or are None when
+    no row reads the memory."""
 
     mode: str
-    known_ids: Optional[List[int]]
-    n_tokens: Optional[int]
+    known_ids: Union[List[int], List[List[int]]]
+    n_tokens: Union[int, List[int]]
+    live: Array                   # () bool
     m_bar: Array
     t: Array
     u_eff: Array
@@ -214,143 +218,137 @@ class ForwardTrace:
 def forward(tokens: Sequence, visual_feature: Array, params: ModelParams,
             mode: str, features: Optional[SlotFeatures] = None,
             label: Optional[int] = None) -> ForwardTrace:
-    """Run the whole pipeline, keeping every intermediate.
+    """Run the whole pipeline on one row or B rows, keeping every intermediate.
 
-    One row: tokens is one question, visual_feature one image (d,), and
-    features its slots' Phi, phi (3, M, d_e) and mask (M,). B rows: tokens
-    holds one question per row, visual_feature is (B, d) and features is
-    phi (B, 3, M, d_e) with mask (B, M), as slot_features gives for B
-    assignments; rows may repeat a question or an image. Each row's mean
-    word vector is summed as for one row, then W_t, tanh and the memory run
-    once over the stack, and each row equals the one-row call on it. None
-    features, or a row whose mask has no live slot, means the memory adds
-    nothing: that row's q' is q. Features must be d_e wide, live slot or
-    not; q_only never touches them. label (one row only) adds the loss.
+    One row: tokens is one question, visual_feature one image (d,), features
+    its slots' phi (3, M, d_e) and mask (M,). B rows, run by the same code:
+    a question per row, images (B, d), features (B, 3, M, d_e) with mask
+    (B, M) as slot_features gives them; rows may repeat a question or an
+    image, and each equals the one-row call on it. None features, or a row
+    with no live slot, leave that row's q' = q. Features must be d_e wide,
+    live slot or not; q_only never touches them. label (one row) adds the loss.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     d = params.dims.d
-    if mode == "blind":
-        # the image is never read; a stack only sets how many rows there are
-        shape = np.shape(visual_feature)
-        bad = len(shape) > 2
-    else:
-        u_eff = np.asarray(visual_feature, dtype=np.float64)
-        shape = u_eff.shape
-        bad = u_eff.ndim not in (1, 2) or shape[-1] != d
-    if bad:
+    # blind never reads the image; a stack only sets how many rows there are
+    u_eff = visual_feature if mode == "blind" else np.asarray(visual_feature, dtype=np.float64)
+    shape = np.shape(u_eff)
+    if len(shape) > 2 or (mode != "blind" and shape[-1:] != (d,)):
         raise ValueError(f"visual feature shape {shape}, want ({d},) or (B, {d})")
     lead = shape[:-1]
-    W_t = params.matrices["W_t"]
-    if lead:
-        m_bar = _mean_words_rows(tokens, lead[0], params)
-        known_ids = n_tokens = None
-        t = tanh_map((W_t @ m_bar[..., None])[..., 0])
-    else:
-        m_bar, known_ids = _mean_words(tokens, params)
-        n_tokens = len(tokens)
-        t = tanh_map(W_t @ m_bar)
+    # per-row lists (tokens in, ids and counts out) are bare on a one-row call
+    rows, n_rows = (tokens, lead[0]) if lead else ([tokens], 1)
+    if len(rows) != n_rows or any(isinstance(row, str) for row in rows):
+        raise ValueError(f"a stack of {n_rows} images takes {n_rows} token lists, one per row")
+    m_bar, known_ids = _mean_words(rows, params)
+    m_bar = m_bar.reshape(*lead, -1)
+    # Matrix-vector products are written W @ x[..., None]: on one row it is
+    # the same BLAS call as W @ x, and on a stack it repeats that call per row.
+    t = tanh_map((params.matrices["W_t"] @ m_bar[..., None])[..., 0])
     if mode == "blind":
         u_eff = q = t
     else:
         q = t * u_eff
 
-    # Matrix-vector products are written W @ x[..., None]: on one row it is
-    # the same BLAS call as W @ x, and on a stack it repeats that call per row.
     memory = {}
     q_prime = q
-    live = None if mode == "q_only" or features is None else features.mask.any(axis=-1)
-    if live is not None and features.phi.shape[-1] != params.dims.d_e:
-        raise ValueError(f"slot features are {features.phi.shape[-1]} wide, "
-                         f"the model's d_e is {params.dims.d_e}")
-    if live is not None and (live.any() if lead else live):
+    live = np.zeros(lead, dtype=bool)
+    if mode != "q_only" and features is not None:
+        if features.phi.shape[-1] != params.dims.d_e:
+            raise ValueError(f"slot features are {features.phi.shape[-1]} wide, "
+                             f"the model's d_e is {params.dims.d_e}")
         if features.mask.shape[:-1] != lead:
-            raise ValueError(f"slot features of shape {features.mask.shape[:-1]} rows "
-                             f"for visual features of {lead} rows")
-        n = 1 if mode == "no_replication" else len(BLOCKS)
-        A = params.matrices["A"][:n]
-        h_u = tanh_map((params.matrices["W_u"] @ u_eff[..., None])[..., 0])
-        He = tanh_map(features.phi @ params.matrices["W_e"].T)
-        h = h_u[..., None, None, :]
-        roles = He.reshape(*lead, 3, -1)
-        kv_shape = (*lead, n, *He.shape[-2:])
-        K = (KEY_ROLES[:n] @ roles).reshape(kv_shape)
-        K *= h  # in place: a stack of rows holds no second copy of K or V
-        V = (VALUE_ROLE[:n] @ roles).reshape(kv_shape)
-        V *= h
-        a = (q[..., None, None, :] @ A)[..., 0, :]
-        # a row with no live slot reads every slot, then keeps q' = q
-        mask = features.mask[:, None] | ~live[:, None, None] if lead else features.mask
-        p = masked_softmax((K @ a[..., None])[..., 0], mask)
-        w = (p[..., None, :] @ V)[..., 0, :]
-        o = (A @ w[..., None])[..., 0]
-        q_prime = reduce(np.add, o.swapaxes(0, -2), q)  # block by block, in BLOCKS order
-        if lead:
-            q_prime = np.where(live[:, None], q_prime, q)
-        memory = dict(blocks=BLOCKS[:n], h_u=h_u, phi=features.phi, He=He,
-                      K=K, V=V, a=a, p=p, w=w, o=o)
+            raise ValueError(f"slot features for {features.mask.shape[:-1]} rows, images {lead}")
+        live = features.mask.any(axis=-1)
+        if np.count_nonzero(features.mask):  # some row has a live slot
+            n = 1 if mode == "no_replication" else len(BLOCKS)
+            A = params.matrices["A"][:n]
+            h_u = tanh_map((params.matrices["W_u"] @ u_eff[..., None])[..., 0])
+            He = tanh_map(features.phi @ params.matrices["W_e"].T)
+            h = h_u[..., None, None, :]
+            roles = He.reshape(*lead, 3, -1)
+            kv_shape = (*lead, n, *He.shape[-2:])
+            K = (KEY_ROLES[:n] @ roles).reshape(kv_shape)
+            K *= h  # in place: a stack of rows holds no second copy of K or V
+            V = (VALUE_ROLE[:n] @ roles).reshape(kv_shape)
+            V *= h
+            a = (q[..., None, None, :] @ A)[..., 0, :]
+            # a row with no live slot reads every slot, then keeps q' = q; the
+            # scores go block axis first, so each row's mask spans its blocks
+            mask = np.where(live[..., None], features.mask, True)
+            p = masked_softmax((K @ a[..., None])[..., 0].swapaxes(0, -2), mask).swapaxes(0, -2)
+            w = (p[..., None, :] @ V)[..., 0, :]
+            o = (A @ w[..., None])[..., 0]
+            # a live row's q' adds its blocks' reads to q, in BLOCKS order
+            q_prime = np.where(live[..., None], reduce(np.add, o.swapaxes(0, -2), q), q)
+            memory = dict(blocks=BLOCKS[:n], h_u=h_u, phi=features.phi, He=He,
+                          K=K, V=V, a=a, p=p, w=w, o=o)
 
     logits = (params.matrices["W_o"] @ q_prime[..., None])[..., 0]
     loss = cross_entropy_loss(logits, label) if label is not None else None
-    return ForwardTrace(mode=mode, known_ids=known_ids, n_tokens=n_tokens,
-                        m_bar=m_bar, t=t, u_eff=u_eff, q=q, q_prime=q_prime,
+    return ForwardTrace(mode=mode, known_ids=known_ids if lead else known_ids[0],
+                        n_tokens=[len(row) for row in rows] if lead else len(tokens),
+                        live=live, m_bar=m_bar, t=t, u_eff=u_eff, q=q, q_prime=q_prime,
                         logits=logits, loss=loss, **memory)
 
 
-def backward(trace: ForwardTrace, label: int, params: ModelParams) -> Dict[str, Array]:
-    """Exact gradients of the cross-entropy loss for every trainable matrix.
+def backward(trace: ForwardTrace, label: Union[int, Sequence[int], Array],
+             params: ModelParams) -> Dict[str, Array]:
+    """Exact gradients of the cross-entropy loss for every trainable matrix,
+    from any trace forward returns: label is an int for one row, or one
+    index per row, and the gradients are summed over the rows.
 
     Phi is a constant. Each gradient is built once; matrices a mode never
-    touches, and the rows of A past the blocks it runs, are exact zeros.
+    touches, and the rows of A past the blocks it runs, are exact zeros. A
+    row with no live slot sends nothing through the memory.
     """
-    if trace.logits.ndim != 1:
-        raise ValueError("backward takes the trace of a one-row forward")
+    lead = trace.logits.shape[:-1]
     dlogits = cross_entropy_grad(trace.logits, label)
-    grads = {"W_o": dlogits[:, None] * trace.q_prime}
-    dq = dq_prime = params.matrices["W_o"].T @ dlogits
+    grads = {"W_o": _outer_sum(dlogits, trace.q_prime)}
+    dq = dq_prime = dlogits @ params.matrices["W_o"]
 
-    du_eff = None
     if trace.blocks:
         n = len(trace.blocks)
         A = params.matrices["A"][:n]
         # reading path: o = A (V^T p), and every block's o adds into q'
-        dw = dq_prime @ A
+        dq_read = np.where(trace.live[..., None], dq_prime, 0.0)
+        dw = (dq_read[..., None, None, :] @ A)[..., 0, :]
         dp = (trace.V @ dw[..., None])[..., 0]
-        dV = trace.p[..., None] * dw[:, None, :]
+        dV = trace.p[..., None] * dw[..., None, :]
         # addressing path: p = softmax(z), z = K (A^T q); masked slots have
         # p_i = 0 so their dz vanishes identically
-        dz = trace.p * (dp - (trace.p * dp).sum(axis=1, keepdims=True))
-        da = (dz[:, None, :] @ trace.K)[:, 0]
-        dK = dz[..., None] * trace.a[:, None, :]
-        gA = dq_prime[:, None] * trace.w[:, None, :] + trace.q[:, None] * da[:, None, :]
-        grads["A"] = (gA if n == len(BLOCKS) else  # rows past the blocks run stay 0
-                      np.concatenate((gA, np.zeros((len(BLOCKS) - n,) + gA.shape[1:]))))
-        dq = dq_prime + (A @ da[..., None])[..., 0].sum(axis=0)
+        dz = trace.p * (dp - (trace.p * dp).sum(axis=-1, keepdims=True))
+        da = (dz[..., None, :] @ trace.K)[..., 0, :]
+        dK = dz[..., None] * trace.a[..., None, :]
+        grads["A"] = np.zeros(params.matrices["A"].shape)  # rows past the blocks run stay 0
+        grads["A"][:n] = (_outer_sum(dq_read, trace.w) + _outer_sum(trace.q, da)).reshape(
+            -1, n, trace.w.shape[-1]).swapaxes(0, 1)
+        dq = dq_prime + (A @ da[..., None])[..., 0].sum(axis=-2)
         # K = KEY_ROLES Psi, V = VALUE_ROLE Psi with Psi = He h_u per role:
         # sum each role's gradient over the blocks that read it
-        shape = trace.He.shape
-        dPsi = ((KEY_ROLES[:n].T @ dK.reshape(n, -1))
-                + (VALUE_ROLE[:n].T @ dV.reshape(n, -1))).reshape(shape)
-        dh_u = (dPsi * trace.He).sum(axis=(0, 1))
-        dpre = dPsi * trace.h_u * (1.0 - trace.He * trace.He)
-        grads["W_e"] = dpre.reshape(-1, shape[-1]).T @ trace.phi.reshape(-1, trace.phi.shape[-1])
+        dPsi = ((KEY_ROLES[:n].T @ dK.reshape(*lead, n, -1))
+                + (VALUE_ROLE[:n].T @ dV.reshape(*lead, n, -1))).reshape(trace.He.shape)
+        dh_u = (dPsi * trace.He).sum(axis=(-3, -2))
+        dpre = dPsi * trace.h_u[..., None, None, :] * (1.0 - trace.He * trace.He)
+        grads["W_e"] = _outer_sum(dpre, trace.phi)
         da_u = dh_u * (1.0 - trace.h_u * trace.h_u)
-        grads["W_u"] = da_u[:, None] * trace.u_eff
-        du_eff = params.matrices["W_u"].T @ da_u
+        grads["W_u"] = _outer_sum(da_u, trace.u_eff)
+        if trace.mode == "blind":  # u_eff = t: the image path feeds the encoder too
+            dq = dq + da_u @ params.matrices["W_u"]
 
-    if trace.mode == "blind":
-        # q = t and u_eff = t: both paths feed the encoder
-        dt = dq if du_eff is None else dq + du_eff
-    else:
-        dt = dq * trace.u_eff  # q = t * u; the visual feature is an input
+    # q = t * u, the visual feature an input; blind's q is t itself
+    dt = dq if trace.mode == "blind" else dq * trace.u_eff
 
     dz_t = dt * (1.0 - trace.t * trace.t)
-    grads["W_t"] = dz_t[:, None] * trace.m_bar
-    per_token = (params.matrices["W_t"].T @ dz_t) / trace.n_tokens
-    grads["word_table"] = wt_grad = np.zeros_like(params.matrices["word_table"])
-    for tid in trace.known_ids:
-        wt_grad[tid] += per_token
-    return {name: grads[name] if name in grads else np.zeros_like(params.matrices[name])
+    grads["W_t"] = _outer_sum(dz_t, trace.m_bar)
+    # each row's word gradient, divided by that row's token count
+    per_token = ((dz_t @ params.matrices["W_t"]).T / trace.n_tokens).T.reshape(-1, params.dims.d_w)
+    grads["word_table"] = wt_grad = np.zeros(params.matrices["word_table"].shape)
+    for ids, row in zip(trace.known_ids if lead else [trace.known_ids], per_token):
+        for tid in ids:
+            wt_grad[tid] += row
+    return {name: grads[name] if name in grads else np.zeros(params.matrices[name].shape)
             for name in MATRIX_ORDER}
 
 

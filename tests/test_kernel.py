@@ -274,6 +274,21 @@ def test_cross_entropy_loss_and_grad_keep_their_bits(v, k):
     assert v.tobytes() == before
 
 
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda k: st.lists(
+           st.tuples(st.lists(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+                              min_size=k, max_size=k),
+                     st.integers(min_value=0, max_value=k - 1)),
+           min_size=1, max_size=6)))
+@settings(max_examples=100, deadline=None)
+def test_cross_entropy_grad_rows_equal_one_row_calls(rows):
+    logits = np.array([v for v, _ in rows])
+    labels = np.array([k for _, k in rows])
+    got = cross_entropy_grad(logits, labels)
+    assert got.shape == logits.shape
+    for row, v, k in zip(got, logits, labels):
+        assert row.tobytes() == cross_entropy_grad(v, int(k)).tobytes()
+
+
 def test_sgd_step_in_place():
     params = {"w": np.array([1.0, 2.0])}
     grads = {"w": np.array([0.5, -1.0])}

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from vkmn.embedding import EmbeddingTable, embed_entry, make_bow_table
 from vkmn import model
 from vkmn.kb import Triple, build_graph
-from vkmn.kernel import finite_diff_grad, max_relative_error, softmax
+from vkmn.kernel import (cross_entropy_loss, finite_diff_grad, masked_softmax,
+                         max_relative_error, softmax, tanh_map)
 from vkmn.model import (
     BLOCKS,
     KEY_ROLES,
@@ -20,6 +22,7 @@ from vkmn.model import (
     VALUE_ROLE,
     ModelDims,
     ModelParams,
+    SlotFeatures,
     backward,
     forward,
     init_params,
@@ -457,6 +460,83 @@ def test_step_bits_equal_tensordot_form(mode, dims, memory, tokens, seed):
         assert np.array_equal(got[name], want[name]), name
 
 
+def _forward_one_row_reference(tokens, u, params, mode, features=None, label=None):
+    """The one-row forward as it was before forward ran over an optional row
+    axis, valid inputs only: the oracle every field of a one-row trace must
+    equal byte for byte."""
+    known_ids = sorted(params.token_index[tok] for tok in tokens if tok in params.token_index)
+    wt = params.matrices["word_table"]
+    m_bar = np.zeros(params.dims.d_w, dtype=np.float64)
+    for tid in known_ids:
+        m_bar += wt[tid]
+    m_bar /= len(tokens)
+    t = tanh_map(params.matrices["W_t"] @ m_bar)
+    if mode == "blind":
+        u_eff = q = t
+    else:
+        u_eff = np.asarray(u, dtype=np.float64)
+        q = t * u_eff
+    memory = {}
+    q_prime = q
+    if mode != "q_only" and features is not None and features.mask.any():
+        n = 1 if mode == "no_replication" else len(BLOCKS)
+        A = params.matrices["A"][:n]
+        h_u = tanh_map((params.matrices["W_u"] @ u_eff[..., None])[..., 0])
+        He = tanh_map(features.phi @ params.matrices["W_e"].T)
+        h = h_u[..., None, None, :]
+        roles = He.reshape(3, -1)
+        K = (KEY_ROLES[:n] @ roles).reshape(n, *He.shape[-2:])
+        K *= h
+        V = (VALUE_ROLE[:n] @ roles).reshape(n, *He.shape[-2:])
+        V *= h
+        a = (q[..., None, None, :] @ A)[..., 0, :]
+        p = masked_softmax((K @ a[..., None])[..., 0], features.mask)
+        w = (p[..., None, :] @ V)[..., 0, :]
+        o = (A @ w[..., None])[..., 0]
+        q_prime = reduce(np.add, o.swapaxes(0, -2), q)
+        memory = dict(blocks=BLOCKS[:n], h_u=h_u, phi=features.phi, He=He,
+                      K=K, V=V, a=a, p=p, w=w, o=o)
+    logits = (params.matrices["W_o"] @ q_prime[..., None])[..., 0]
+    loss = cross_entropy_loss(logits, label) if label is not None else None
+    return {"mode": mode, "known_ids": known_ids, "n_tokens": len(tokens), "m_bar": m_bar,
+            "t": t, "u_eff": u_eff, "q": q, "q_prime": q_prime, "logits": logits, "loss": loss,
+            "blocks": (), **memory}
+
+
+# d_w = 1 makes each word sum one contiguous column, which NumPy's own sum
+# would add pairwise, not in token order
+_WORD_DIMS = ModelDims(d=6, d_j=5, d_e=4, d_w=1, m_slots=3, k_answers=2)
+
+
+@given(st.sampled_from(MODES), st.sampled_from([DIMS, _BENCH_DIMS, _WORD_DIMS]),
+       st.sampled_from(["none", "all-masked", "partly masked", "full"]),
+       st.lists(st.sampled_from(VOCAB + ["oov"]), min_size=1, max_size=12),
+       st.booleans(), st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=200, deadline=None)
+def test_one_row_trace_bits_equal_reference(mode, dims, memory, tokens, with_label, seed):
+    graph, _, _ = _setting()
+    table = make_bow_table(graph, dim=dims.d_e, seed=seed)
+    real = {"none": None, "all-masked": [], "partly masked": [0, 2], "full": [0, 1, 2]}[memory]
+    feats = None if real is None else slot_features(
+        SlotAssignment(slots=real + [None] * (dims.m_slots - len(real))), table, graph)
+    p = _params(seed=seed, dims=dims)
+    u = np.random.default_rng(seed).standard_normal(dims.d) * 3.0
+    label = seed % 2 if with_label else None
+    got = forward(tokens, u, p, mode, feats, label)
+    want = _forward_one_row_reference(tokens, u, p, mode, feats, label)
+    for name, value in want.items():
+        new = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert (new.shape, new.dtype) == (value.shape, value.dtype), name
+            assert new.tobytes() == value.tobytes(), name
+        else:
+            assert type(new) is type(value) and new == value, name
+    for name in ("h_u", "phi", "He", "K", "V", "a", "p", "w", "o"):
+        if name not in want:
+            assert getattr(got, name) is None, name
+    assert got.live.shape == () and bool(got.live) == bool(got.blocks)
+
+
 # ---------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -603,7 +683,9 @@ def test_image_stack_rows_equal_one_image_calls(mode, memory, images, seed):
                 assert getattr(one, name) is None and getattr(stack, name) is None
     assert stack.blocks == one.blocks
     assert one.t.shape == (DIMS.d,) and stack.t.shape == (b, DIMS.d)
-    assert stack.known_ids is None and stack.n_tokens is None  # backward takes one row
+    # every trace carries each row's ids, token count and live flag
+    assert stack.known_ids == [one.known_ids] * b and stack.n_tokens == [one.n_tokens] * b
+    assert stack.live.shape == (b,) and stack.live.tolist() == [bool(one.live)] * b
 
 
 _QUESTIONS = [["alpha", "near", "beta"], ["gamma", "oov"], ["beta"], ["near", "alpha", "near"],
@@ -640,6 +722,83 @@ def test_mixed_rows_equal_one_row_calls(mode, with_memory, rows, seed):
             assert stack.q_prime[i].tobytes() == stack.q[i].tobytes()
 
 
+def _stack(rows, with_memory, table, graph, seed):
+    """Tokens, images and slot features of (question, assignment, image)
+    rows. Masked slots hold noise, not slot_features' zeros: whatever they
+    hold, a row reads nothing from them, and a row with none live nothing
+    at all."""
+    tokens = [_QUESTIONS[q] for q, _, _ in rows]
+    images = np.array([u for _, _, u in rows])
+    if not with_memory:
+        return tokens, images, None
+    feats = slot_features([SlotAssignment(slots=_ASSIGNMENTS[s]) for _, s, _ in rows],
+                          table, graph)
+    noise = np.random.default_rng(seed).standard_normal(feats.phi.shape)
+    return tokens, images, SlotFeatures(
+        phi=np.where(feats.mask[:, None, :, None], feats.phi, noise), mask=feats.mask)
+
+
+@given(st.sampled_from(MODES), st.booleans(),
+       st.lists(st.tuples(st.integers(0, len(_QUESTIONS) - 1),
+                          st.integers(0, len(_ASSIGNMENTS) - 1),
+                          st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),
+                                   min_size=DIMS.d, max_size=DIMS.d)),
+                min_size=1, max_size=8),
+       st.data(), st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=150, deadline=None)
+def test_stack_backward_is_sum_of_one_row_backwards(mode, with_memory, rows, data, seed):
+    graph, table, _ = _setting()
+    p = _params(seed=seed)
+    # a repeated row and a row with no live slot ride along with the drawn ones
+    rows = rows + [rows[0], (data.draw(st.integers(0, len(_QUESTIONS) - 1)), 1, rows[-1][2])]
+    labels = data.draw(st.lists(st.integers(0, DIMS.k_answers - 1),
+                                min_size=len(rows), max_size=len(rows)))
+    tokens, images, feats = _stack(rows, with_memory, table, graph, seed)
+    got = backward(forward(tokens, images, p, mode, feats), labels, p)
+    assert tuple(got) == MATRIX_ORDER
+    want = {name: np.zeros_like(m) for name, m in p.matrices.items()}
+    scale = {name: np.zeros_like(m) for name, m in p.matrices.items()}
+    for i, label in enumerate(labels):
+        one_feats = None if feats is None else SlotFeatures(phi=feats.phi[i], mask=feats.mask[i])
+        one = backward(forward(tokens[i], images[i], p, mode, one_feats), label, p)
+        for name, g in one.items():
+            want[name] += g
+            scale[name] += np.abs(g)
+    for name in MATRIX_ORDER:
+        assert got[name].shape == p.matrices[name].shape, name
+        assert np.all(np.abs(got[name] - want[name]) <= 1e-12 * scale[name]), name
+    # one row as a stack of one: the one-row call's bits
+    one_feats = None if feats is None else SlotFeatures(phi=feats.phi[0], mask=feats.mask[0])
+    single = backward(forward(tokens[0], images[0], p, mode, one_feats), labels[0], p)
+    stacked = backward(forward(tokens[:1], images[:1], p, mode,
+                               None if feats is None else SlotFeatures(phi=feats.phi[:1],
+                                                                       mask=feats.mask[:1])),
+                       labels[:1], p)
+    for name in MATRIX_ORDER:
+        assert stacked[name].tobytes() == single[name].tobytes(), name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stack_backward_matches_finite_differences(mode):
+    # three rows, the middle one with no live slot; the loss is the rows' sum
+    graph, table, _ = _setting()
+    p = _params(seed=13)
+    rng = np.random.default_rng(13)
+    rows = [(0, 0, rng.standard_normal(DIMS.d)), (3, 1, rng.standard_normal(DIMS.d)),
+            (1, 2, rng.standard_normal(DIMS.d))]
+    labels = [1, 0, 1]
+    tokens, images, feats = _stack(rows, True, table, graph, 13)
+    trace = forward(tokens, images, p, mode, feats)
+    assert trace.live.tolist() == ([False] * 3 if mode == "q_only" else [True, False, True])
+
+    def loss(_m):
+        logits = forward(tokens, images, p, mode, feats).logits
+        return sum(cross_entropy_loss(row, k) for row, k in zip(logits, labels))
+
+    analytic = backward(trace, labels, p)
+    assert max_relative_error(analytic, finite_diff_grad(loss, p.matrices)) <= 1e-4
+
+
 def test_slot_features_embeds_each_triple_once(monkeypatch):
     graph, table, _ = _setting()
     assignments = [SlotAssignment(slots=s) for s in _ASSIGNMENTS]
@@ -674,6 +833,12 @@ def test_forward_rows_reject_mismatched_inputs():
         forward([["alpha"]], images, p, "full")
     with pytest.raises(ValueError, match="slot features"):
         forward([["alpha"]] * 2, images, p, "full", slot_features([slots] * 3, table, graph))
+    # backward takes the stack's trace, with one label per row
     trace = forward([["alpha"]] * 2, images, p, "full", slot_features([slots] * 2, table, graph))
-    with pytest.raises(ValueError, match="one-row forward"):
-        backward(trace, 0, p)
+    assert tuple(backward(trace, [0, 1], p)) == MATRIX_ORDER
+    for labels in (0, [0], [0, 1, 1], [[0, 1]]):
+        with pytest.raises(ValueError, match="one label per row"):
+            backward(trace, labels, p)
+    one = forward(["alpha"], images[0], p, "full", slot_features(slots, table, graph))
+    with pytest.raises(ValueError, match="one label per row"):
+        backward(one, [0], p)
