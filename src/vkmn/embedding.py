@@ -61,8 +61,9 @@ class EmbeddingTable:
     The dict constructor copies the vectors into read-only matrices, one row
     per phrase in sorted-phrase order; `adopt`, which every maker in this
     module uses, keeps the maker's own matrix instead. `entity_vectors` and
-    `relation_vectors` map each phrase to its row, a view. `entity_matrix`
-    and `entity_row` let filtered ranking score every entity at once. A table
+    `relation_vectors` map each phrase to its row, a view. `entity_matrix`,
+    `entity_row`, each row's squared norm `entity_sq` and the largest row
+    norm `entity_norm_max` let filtered ranking screen every entity at once. A table
     made for a graph keeps it with `graph_rows`, the mask of its entities'
     rows, so ranking against that graph does not rebuild the mask; `graph`
     is None when the table lacks one of the graph's entities. Tables compare
@@ -77,6 +78,8 @@ class EmbeddingTable:
     graph: Optional[KnowledgeGraph] = field(default=None, repr=False)
     entity_matrix: Array = field(init=False, repr=False)
     entity_row: Dict[str, int] = field(init=False, repr=False)
+    entity_sq: Array = field(init=False, repr=False)
+    entity_norm_max: float = field(init=False, repr=False)
     graph_rows: Optional[Array] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -92,6 +95,9 @@ class EmbeddingTable:
 
     def _index_entities(self):
         self.entity_row = dict(zip(self.entity_vectors, range(len(self.entity_vectors))))
+        self.entity_sq = np.einsum("ij,ij->i", self.entity_matrix, self.entity_matrix)
+        self.entity_sq.flags.writeable = False
+        self.entity_norm_max = math.sqrt(self.entity_sq.max()) if len(self.entity_sq) else 0.0
         self.graph_rows = None
         if self.graph is not None:
             try:
@@ -166,8 +172,9 @@ def _vector(table: EmbeddingTable, entry: str, is_relation: bool) -> Array:
 def _scores(base: Array, tails: Array) -> Array:
     """The TransE score of every row t of `tails`: -||base - t||_2, with
     base = vec(s) + vec(r). The one score expression: transe_score applies
-    it to a single row, ranking to the whole entity matrix, so both give the
-    same bits for the same triple. These are the operations of
+    it to a single row, ranking to the entity rows its screen cannot order,
+    and a row's bits do not depend on which other rows share the call, so
+    both give the same bits for the same triple. These are the operations of
     -np.linalg.norm(base - tails, axis=1), bit for bit, without its extra
     temporaries."""
     diff = base - tails
@@ -321,16 +328,67 @@ def _rows_of(table: EmbeddingTable, graph: KnowledgeGraph) -> Array:
     return table.graph_rows if graph is table.graph else _graph_rows(table, graph)
 
 
+_UNIT_ROUNDOFF = 2.0 ** -53  # u: float64 rounds to nearest within a factor 1 +- u
+
+
+def _screen_tolerance(dim: int, base_norm: float, norm_max: float) -> float:
+    """How far apart two rows' screen values must be for their exact scores
+    to be strictly ordered the same way; inf where no bound is made.
+
+    With n = dim, B = ||base||, R the largest row norm and S = (R + B)^2, let
+    g = gamma_{n+2} = (n+2)u / (1 - (n+2)u). A sum of n rounded products,
+    in any order and with or without FMA, is within gamma_n of the sum of
+    the products' magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1). So:
+
+    - the screen value approx(e) = fl(||e||^2 - fl(e . 2 base)) is within
+      gamma_n R^2 + gamma_n 2RB plus u of the result, under g S, of the
+      real a(e) = ||e||^2 - 2 e . base = D(e) - B^2, D(e) = ||base - e||^2;
+    - the sum that _scores takes the root of, D~(e), the rounded squares of
+      the rounded differences, is within g D(e) <= g S of D(e).
+
+    Hence approx(e) < approx(t) - tol implies D~(e) < D~(t) - tol + 4gS. The
+    root cannot then merge the two: for floats x < y - m with m >= 4u y,
+    sqrt y - sqrt x = (y - x) / (sqrt y + sqrt x) > 2u sqrt y, more than the
+    u sqrt y + u sqrt x that rounding both roots can take back, so the
+    scores stay strictly ordered, with no tie. y <= (1 + g) S, so tol needs
+    4gS + 4u(1 + g)S = (4n + 12) u S plus terms in (n u)^2 u S. It takes
+    (4n + 16) u S: for n < 10^6 the spare 4u S covers those terms and the
+    rounding of B, R and S themselves (each within (n + 6) u), and the
+    same holds with e and t swapped. The bounds above are relative, so
+    products that underflow (or are flushed to zero) can lose up to 2^-1022
+    each; the two rows take 6n products, and n 2^-1000 covers them. Where
+    S is not below 2^1000 (or is NaN, from a non-finite vector) the sums
+    could overflow, and where n is 10^6 or more the spare may not suffice:
+    there the tolerance is inf, and every row is scored exactly.
+    """
+    scale = (norm_max + base_norm) * (norm_max + base_norm)
+    if not (scale < 2.0 ** 1000 and dim < 10 ** 6):
+        return math.inf
+    return (4 * dim + 16) * _UNIT_ROUNDOFF * scale + dim * 2.0 ** -1000
+
+
 def _filtered_rank(s: str, r: str, t: str, table: EmbeddingTable,
                    graph: KnowledgeGraph, in_graph: Array) -> int:
     if t not in graph.entities:
         raise ValueError(f"tail {t!r} is not an entity of the graph")
-    scores = _scores(_head(table, s, r), table.entity_matrix)
+    base = _head(table, s, r)
     row_t = table.entity_row[t]
-    true = scores[row_t]
-    # Rows are in name order, so "ties, name before t" is "ties, row before t".
-    ahead = scores > true
-    ahead[:row_t] |= scores[:row_t] == true
+    # The screen: approx = ||e||^2 - 2 e . base, which is ||base - e||^2 less
+    # ||base||^2, for every row in one matrix-vector product. A row more than
+    # tol below t's scores above t, one more than tol above it scores below.
+    approx = table.entity_sq - table.entity_matrix @ (base + base)
+    at = approx.item(row_t)
+    tol = _screen_tolerance(table.dim, math.sqrt(base.dot(base)), table.entity_norm_max)
+    ahead = approx < at - tol
+    # the rows within tol, t among them; every row when tol is inf, since
+    # every comparison with at +- inf (or NaN, when at is not finite) fails
+    rows = ((approx > at + tol) == ahead).nonzero()[0]
+    if len(rows) > 1:
+        scores = _scores(base, table.entity_matrix[rows])
+        true = scores[rows.searchsorted(row_t)]
+        # Rows are in name order, so "ties, name before t" is "ties, row before t".
+        ahead[rows] = (scores > true) | ((scores == true) & (rows < row_t))
     ahead &= in_graph
     triples = graph.triples
     for tid in graph.entry_index.get(s, ()):
@@ -344,8 +402,10 @@ def rank_tail(s: str, r: str, t: str, table: EmbeddingTable, graph: KnowledgeGra
     """Filtered 1-based rank of the true tail t among the graph's entities.
 
     Other stored tails for (s, r) are removed from the candidate pool;
-    candidates order by score descending, name ascending. Every entity is
-    scored at once against table.entity_matrix.
+    candidates order by score descending, name ascending. One product with
+    table.entity_matrix screens every entity, and only the entities it
+    cannot order against t are scored exactly; the rank is that of scoring
+    them all.
     """
     return _filtered_rank(s, r, t, table, graph, _rows_of(table, graph))
 

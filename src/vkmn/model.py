@@ -217,7 +217,7 @@ class ForwardTrace:
 
 def forward(tokens: Sequence, visual_feature: Array, params: ModelParams,
             mode: str, features: Optional[SlotFeatures] = None,
-            label: Optional[int] = None) -> ForwardTrace:
+            label: Optional[Union[int, Sequence[int], Array]] = None) -> ForwardTrace:
     """Run the whole pipeline on one row or B rows, keeping every intermediate.
 
     One row: tokens is one question, visual_feature one image (d,), features
@@ -226,7 +226,9 @@ def forward(tokens: Sequence, visual_feature: Array, params: ModelParams,
     (B, M) as slot_features gives them; rows may repeat a question or an
     image, and each equals the one-row call on it. None features, or a row
     with no live slot, leave that row's q' = q. Features must be d_e wide,
-    live slot or not; q_only never touches them. label (one row) adds the loss.
+    live slot or not; q_only never touches them. label adds the loss: an int
+    for one row; for B rows one label per row, and the loss is the sum of
+    the rows' one-row losses.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -261,7 +263,8 @@ def forward(tokens: Sequence, visual_feature: Array, params: ModelParams,
         if features.mask.shape[:-1] != lead:
             raise ValueError(f"slot features for {features.mask.shape[:-1]} rows, images {lead}")
         live = features.mask.any(axis=-1)
-        if np.count_nonzero(features.mask):  # some row has a live slot
+        n_live = np.count_nonzero(live)
+        if n_live:  # some row has a live slot
             n = 1 if mode == "no_replication" else len(BLOCKS)
             A = params.matrices["A"][:n]
             h_u = tanh_map((params.matrices["W_u"] @ u_eff[..., None])[..., 0])
@@ -275,18 +278,31 @@ def forward(tokens: Sequence, visual_feature: Array, params: ModelParams,
             V *= h
             a = (q[..., None, None, :] @ A)[..., 0, :]
             # a row with no live slot reads every slot, then keeps q' = q; the
-            # scores go block axis first, so each row's mask spans its blocks
-            mask = np.where(live[..., None], features.mask, True)
+            # scores go block axis first, so each row's mask spans its blocks.
+            # When every row is live, neither selection changes anything.
+            every = n_live == live.size
+            mask = features.mask if every else np.where(live[..., None], features.mask, True)
             p = masked_softmax((K @ a[..., None])[..., 0].swapaxes(0, -2), mask).swapaxes(0, -2)
             w = (p[..., None, :] @ V)[..., 0, :]
             o = (A @ w[..., None])[..., 0]
             # a live row's q' adds its blocks' reads to q, in BLOCKS order
-            q_prime = np.where(live[..., None], reduce(np.add, o.swapaxes(0, -2), q), q)
+            q_prime = reduce(np.add, o.swapaxes(0, -2), q)
+            if not every:
+                q_prime = np.where(live[..., None], q_prime, q)
             memory = dict(blocks=BLOCKS[:n], h_u=h_u, phi=features.phi, He=He,
                           K=K, V=V, a=a, p=p, w=w, o=o)
 
     logits = (params.matrices["W_o"] @ q_prime[..., None])[..., 0]
-    loss = cross_entropy_loss(logits, label) if label is not None else None
+    loss = None
+    if label is not None and not lead:
+        loss = cross_entropy_loss(logits, label)
+    elif label is not None:
+        labels = np.asarray(label)
+        if labels.shape != lead:
+            raise ValueError(f"{labels.size} labels for {n_rows} rows: a stack takes one "
+                             f"label per row, got labels of shape {labels.shape}")
+        # each row's loss is the one-row call's, summed in row order
+        loss = sum(map(cross_entropy_loss, logits, labels.tolist()))
     return ForwardTrace(mode=mode, known_ids=known_ids if lead else known_ids[0],
                         n_tokens=[len(row) for row in rows] if lead else len(tokens),
                         live=live, m_bar=m_bar, t=t, u_eff=u_eff, q=q, q_prime=q_prime,
@@ -311,8 +327,10 @@ def backward(trace: ForwardTrace, label: Union[int, Sequence[int], Array],
     if trace.blocks:
         n = len(trace.blocks)
         A = params.matrices["A"][:n]
-        # reading path: o = A (V^T p), and every block's o adds into q'
-        dq_read = np.where(trace.live[..., None], dq_prime, 0.0)
+        # reading path: o = A (V^T p), and every live row's o adds into q'
+        dq_read = dq_prime
+        if np.count_nonzero(trace.live) < trace.live.size:
+            dq_read = np.where(trace.live[..., None], dq_prime, 0.0)
         dw = (dq_read[..., None, None, :] @ A)[..., 0, :]
         dp = (trace.V @ dw[..., None])[..., 0]
         dV = trace.p[..., None] * dw[..., None, :]

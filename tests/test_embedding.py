@@ -451,6 +451,120 @@ def test_rank_tail_equals_sorted_oracle(case):
             assert mean_tail_rank(ranked, paired) == float(np.mean(want))
 
 
+@st.composite
+def _near_tie_case(draw):
+    """A graph whose triple (s, r, t) has entity rows around t that the
+    screen cannot order, or only just: copies of t or of another row, t
+    moved by a few ulps, reflections of t about base = vec(s) + vec(r)
+    (as far from base in real numbers), and t moved along t - base so that
+    its screen value moves by about +-tol. The vectors are not dyadic, at
+    dim 1, 3, 16 or 64, scaled by 1e-6, 1 or 1e6."""
+    dim = draw(st.sampled_from([1, 3, 16, 64]))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    s, t, *others = draw(st.permutations(_NAMES))[:draw(st.integers(3, len(_NAMES)))]
+    rel = {"r": rng.uniform(-1, 1, dim) * scale, "q": rng.uniform(-1, 1, dim) * scale}
+    ents = {s: rng.uniform(-1, 1, dim) * scale, t: rng.uniform(-1, 1, dim) * scale}
+    base = ents[s] + rel["r"]
+    away = ents[t] - base
+    norm_max = max(np.linalg.norm(v) for v in ents.values())
+    tol = embedding._screen_tolerance(dim, float(np.linalg.norm(base)), 2 * norm_max)
+    triples = [Triple(s, "r", t)]
+    for name in others:
+        kind = draw(st.sampled_from(["duplicate", "ulp", "mirror", "tol", "random"]))
+        if kind == "duplicate":
+            vec = ents[draw(st.sampled_from(sorted(ents)))].copy()
+        elif kind == "ulp":
+            vec = ents[t].copy()
+            k = draw(st.integers(0, dim - 1))
+            for _ in range(draw(st.integers(1, 3))):
+                vec[k] = np.nextafter(vec[k], draw(st.sampled_from([-np.inf, np.inf])))
+        elif kind == "mirror":
+            vec = base + rng.permutation(away) * rng.choice([-1.0, 1.0], dim)
+        elif kind == "tol":
+            factor = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+            vec = ents[t] + factor * tol / (2 * away.dot(away)) * away
+        else:
+            vec = rng.uniform(-1, 1, dim) * scale
+        ents[name] = vec
+        # some rows are other stored tails of (s, r), which ranking t skips
+        triples.append(Triple(s, "r", name) if draw(st.booleans()) else Triple(name, "q", s))
+    graph = build_graph(triples)
+    return graph, EmbeddingTable(dim=dim, entity_vectors=ents, relation_vectors=rel)
+
+
+@given(_near_tie_case())
+@settings(max_examples=300, deadline=None)
+def test_rank_tail_equals_sorted_oracle_on_near_ties(case):
+    graph, table = case
+    oracle = [_oracle_rank(t.subject, t.relation, t.target, table, graph)
+              for t in graph.triples]
+    assert [rank_tail(t.subject, t.relation, t.target, table, graph)
+            for t in graph.triples] == oracle
+    assert mean_tail_rank(graph, table) == float(np.mean(oracle))
+
+
+def _spy_exact_rows(monkeypatch):
+    """The number of rows of every exact scoring rank_tail makes."""
+    sizes = []
+    scores = embedding._scores
+
+    def spy(base, tails):
+        sizes.append(len(tails))
+        return scores(base, tails)
+
+    monkeypatch.setattr(embedding, "_scores", spy)
+    return sizes
+
+
+def test_rank_tail_scores_exactly_only_the_rows_the_screen_cannot_order(monkeypatch):
+    # a and c copy b, so their screen values are within rounding of b's:
+    # ranking b scores all three exactly, and the tie goes by name
+    g = build_graph([Triple("s", "r", "b"), Triple("a", "q", "s"),
+                     Triple("c", "q", "s"), Triple("d", "q", "s")])
+    b = np.array([0.9, 0.4])
+    ents = {"a": b, "b": b, "c": b, "d": np.array([-3.0, 2.0]), "s": np.array([0.3, 0.1])}
+    table = EmbeddingTable(dim=2, entity_vectors=ents,
+                           relation_vectors={"r": np.array([0.2, 0.7]), "q": np.zeros(2)})
+    sizes = _spy_exact_rows(monkeypatch)
+    assert rank_tail("s", "r", "b", table, g) == 2  # a ahead; c, d and s behind
+    assert sizes == [3]
+    # d is far from every other row: the screen orders them all, and
+    # nothing is scored exactly
+    want = _oracle_rank("s", "r", "d", table, g)
+    sizes.clear()
+    assert rank_tail("s", "r", "d", table, g) == want == 4
+    assert sizes == []
+
+
+def test_rank_tail_scores_every_row_where_the_screen_has_no_bound(monkeypatch):
+    # squares of 1e200 overflow, so no tolerance is claimed and every row
+    # is scored exactly: s, 1 from base, scores -1 and the others -inf,
+    # where a's name puts it ahead of b
+    g = build_graph([Triple("s", "r", "b"), Triple("a", "q", "s"), Triple("c", "q", "s")])
+    ents = {"a": np.array([1e200, 0.0]), "b": np.array([0.0, 1e200]),
+            "c": np.array([-1e200, 0.0]), "s": np.array([0.0, -1e200])}
+    table = EmbeddingTable(dim=2, entity_vectors=ents,
+                           relation_vectors={"r": np.ones(2), "q": np.ones(2)})
+    assert embedding._screen_tolerance(2, 1e200, 1e200) == math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _oracle_rank("s", "r", "b", table, g)
+        sizes = _spy_exact_rows(monkeypatch)
+        assert rank_tail("s", "r", "b", table, g) == want == 3
+    assert sizes == [4]
+
+
+def test_table_without_entities_indexes_and_ranks_with_an_error():
+    for table in (EmbeddingTable(dim=3, relation_vectors={"r": np.ones(3)}),
+                  EmbeddingTable.adopt(3, [], np.zeros((0, 3)), {})):
+        assert table.entity_sq.shape == (0,) and table.entity_norm_max == 0.0
+        g = build_graph([Triple("a", "r", "b")])
+        with pytest.raises(KeyError, match="not in embedding table"):
+            rank_tail("a", "r", "b", table, g)
+        with pytest.raises(KeyError, match="not in embedding table"):
+            mean_tail_rank(g, table)
+
+
 def test_tables_made_for_a_graph_keep_its_entity_rows(tmp_path, monkeypatch):
     g = _chain_graph(8, 2)
     trained = train_transe(g, TransEConfig(dim=4, epochs=2, seed=1))

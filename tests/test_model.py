@@ -754,19 +754,30 @@ def test_stack_backward_is_sum_of_one_row_backwards(mode, with_memory, rows, dat
     labels = data.draw(st.lists(st.integers(0, DIMS.k_answers - 1),
                                 min_size=len(rows), max_size=len(rows)))
     tokens, images, feats = _stack(rows, with_memory, table, graph, seed)
-    got = backward(forward(tokens, images, p, mode, feats), labels, p)
-    assert tuple(got) == MATRIX_ORDER
-    want = {name: np.zeros_like(m) for name, m in p.matrices.items()}
-    scale = {name: np.zeros_like(m) for name, m in p.matrices.items()}
-    for i, label in enumerate(labels):
-        one_feats = None if feats is None else SlotFeatures(phi=feats.phi[i], mask=feats.mask[i])
-        one = backward(forward(tokens[i], images[i], p, mode, one_feats), label, p)
-        for name, g in one.items():
-            want[name] += g
-            scale[name] += np.abs(g)
-    for name in MATRIX_ORDER:
-        assert got[name].shape == p.matrices[name].shape, name
-        assert np.all(np.abs(got[name] - want[name]) <= 1e-12 * scale[name]), name
+    ones = [forward(tokens[i], images[i], p, mode,
+                    None if feats is None else SlotFeatures(phi=feats.phi[i], mask=feats.mask[i]),
+                    label)
+            for i, label in enumerate(labels)]
+    # the whole stack, and the stack without its last row, which has no live
+    # slot: the rest are often all live
+    for n in (len(rows), len(rows) - 1):
+        trace = forward(tokens[:n], images[:n], p, mode,
+                        None if feats is None else SlotFeatures(phi=feats.phi[:n],
+                                                                mask=feats.mask[:n]),
+                        labels[:n])
+        # the stack's loss is its rows' one-row losses summed in row order
+        assert trace.loss == sum(one.loss for one in ones[:n])
+        got = backward(trace, labels[:n], p)
+        assert tuple(got) == MATRIX_ORDER
+        want = {name: np.zeros_like(m) for name, m in p.matrices.items()}
+        scale = {name: np.zeros_like(m) for name, m in p.matrices.items()}
+        for one, label in zip(ones[:n], labels):
+            for name, g in backward(one, label, p).items():
+                want[name] += g
+                scale[name] += np.abs(g)
+        for name in MATRIX_ORDER:
+            assert got[name].shape == p.matrices[name].shape, name
+            assert np.all(np.abs(got[name] - want[name]) <= 1e-12 * scale[name]), name
     # one row as a stack of one: the one-row call's bits
     one_feats = None if feats is None else SlotFeatures(phi=feats.phi[0], mask=feats.mask[0])
     single = backward(forward(tokens[0], images[0], p, mode, one_feats), labels[0], p)
@@ -792,8 +803,7 @@ def test_stack_backward_matches_finite_differences(mode):
     assert trace.live.tolist() == ([False] * 3 if mode == "q_only" else [True, False, True])
 
     def loss(_m):
-        logits = forward(tokens, images, p, mode, feats).logits
-        return sum(cross_entropy_loss(row, k) for row, k in zip(logits, labels))
+        return forward(tokens, images, p, mode, feats, labels).loss
 
     analytic = backward(trace, labels, p)
     assert max_relative_error(analytic, finite_diff_grad(loss, p.matrices)) <= 1e-4
@@ -839,6 +849,10 @@ def test_forward_rows_reject_mismatched_inputs():
     for labels in (0, [0], [0, 1, 1], [[0, 1]]):
         with pytest.raises(ValueError, match="one label per row"):
             backward(trace, labels, p)
+        # and so does forward, naming both counts
+        with pytest.raises(ValueError, match=f"{np.size(labels)} labels for 2 rows"):
+            forward([["alpha"]] * 2, images, p, "full",
+                    slot_features([slots] * 2, table, graph), labels)
     one = forward(["alpha"], images[0], p, "full", slot_features(slots, table, graph))
     with pytest.raises(ValueError, match="one label per row"):
         backward(one, [0], p)
