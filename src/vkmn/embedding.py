@@ -83,12 +83,13 @@ class EmbeddingTable:
     graph_rows: Optional[Array] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("transe", "bow"):
-            raise ValueError(f"unknown table kind {self.kind!r}")
+        _check_kind(self.kind)
         for m in (self.entity_vectors, self.relation_vectors):
             for phrase, vec in m.items():
                 if vec.shape != (self.dim,):
                     raise ValueError(f"vector for {phrase!r} has shape {vec.shape}, want ({self.dim},)")
+                if not np.isfinite(vec).all():
+                    raise ValueError(f"vector for {phrase!r} holds a non-finite value")
         self.entity_matrix, self.entity_vectors = _read_only_rows(self.entity_vectors, self.dim)
         _, self.relation_vectors = _read_only_rows(self.relation_vectors, self.dim)
         self._index_entities()
@@ -112,16 +113,23 @@ class EmbeddingTable:
               history: Optional[TransEHistory] = None) -> "EmbeddingTable":
         """A table that keeps `matrix` itself, made read-only, as its entity
         matrix: row i is the vector of phrases[i], phrases sorted. The
-        relation vectors are kept as given; they must be read-only."""
+        relation vectors are kept as given; they must be read-only. The
+        table is built without the dict constructor's stacking pass."""
+        _check_kind(kind)
         if matrix.shape != (len(phrases), dim) or phrases != sorted(phrases):
             raise ValueError("an adopted matrix needs one row per phrase, phrases sorted")
-        table = cls(dim=dim, kind=kind, history=history)
+        table = cls.__new__(cls)
+        table.dim, table.kind, table.history, table.graph = dim, kind, history, graph
         matrix.flags.writeable = False
         table.entity_matrix, table.entity_vectors = matrix, dict(zip(phrases, matrix))
         table.relation_vectors = dict(sorted(relation_vectors.items()))
-        table.graph = graph
         table._index_entities()
         return table
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("transe", "bow"):
+        raise ValueError(f"unknown table kind {kind!r}")
 
 
 def _read_only_rows(vectors: Dict[str, Array], dim: int):

@@ -8,17 +8,20 @@ memory slots.
 Coverage, the number of distinct matched entries among a triple's phrases,
 is counted once per question, by spot_triples; that one Counter is the
 match_count every later stage reads. Each stage works in proportion to what
-it keeps. The graph's postings are ascending, so the one-hop widening is one
-sort that merges presorted runs. Ranking reads the graph's fixed prior order
-(frequency sum descending, id ascending) as a one-int key, and sorts only the
-few triples that cover a matched entry, falling back to the rest only when
-those cannot fill the M slots.
+it keeps. The one-hop widening returns a record that keeps the graph and
+lists the neighbours, one sort that merges the graph's ascending postings,
+only when its `expanded` is first read. Ranking reads the graph's fixed
+prior order (frequency sum descending, id ascending) as a one-int key, and
+sorts only the few triples of the one-hop set that cover a matched entry,
+found from match_count; it lists the one-hop set, to rank the rest, only
+when those cannot fill the M slots.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, filterfalse
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set
 
@@ -31,13 +34,50 @@ MAX_NGRAM = 4  # longest multi-word KB entry we scan for
 class SpottedSet:
     """What spotting found for one question. match_count is its coverage:
     triple id -> distinct matched entries among the triple's phrases, for
-    every triple that covers one; other ids read 0. Stages build new records
-    rather than mutate one, so records may share one match_count."""
+    every triple that covers one; other ids read 0. expanded lists the
+    candidate triples. Stages build new records rather than change one's
+    fields, so records may share one match_count; a OneHopSet only fills its
+    expanded list on first read."""
 
     matched_entries: Set[str]
     core: List[int]
     expanded: List[int]
     match_count: Dict[int, int] = field(default_factory=dict)
+
+    def covering(self) -> List[int]:
+        """The triples of expanded that cover a matched entry, in any order."""
+        return list(filter(self.match_count.get, self.expanded))
+
+
+class OneHopSet(SpottedSet):
+    """A spotted set widened by one hop; it keeps the graph it was widened in.
+
+    expanded is the core and then every triple outside it that shares a
+    phrase with a core triple, ascending: built from the graph on first
+    read and kept, so every reader gets the same list. covering() finds its
+    triples from match_count alone, without building that list.
+    """
+
+    def __init__(self, spotted: SpottedSet, graph: KnowledgeGraph):
+        self.matched_entries = spotted.matched_entries
+        self.core = spotted.core
+        self.match_count = spotted.match_count
+        self.graph = graph
+
+    @cached_property
+    def expanded(self) -> List[int]:
+        return self.core + list(self.graph.neighbors(*self.core))
+
+    def covering(self) -> List[int]:
+        # the one-hop set is every triple that shares a phrase with a core
+        # triple (a core triple shares all of its own). Each id of
+        # match_count holds a matched entry, so when every matched entry is
+        # a core phrase, every one of them lies in the set.
+        triples, counts = self.graph.triples, self.match_count
+        phrases = {p for tid in self.core for p in triples[tid]}
+        if self.matched_entries <= phrases:
+            return list(filter(counts.get, counts))
+        return [tid for tid, c in counts.items() if c and not phrases.isdisjoint(triples[tid])]
 
 
 @dataclass
@@ -96,15 +136,17 @@ def spot_triples(matched: Set[str], graph: KnowledgeGraph) -> SpottedSet:
                       match_count=counts)
 
 
-def expand_neighborhood(spotted: SpottedSet, graph: KnowledgeGraph) -> SpottedSet:
-    """Append every 1-hop neighbor of a core triple, in triple-id order.
+def expand_neighborhood(spotted: SpottedSet, graph: KnowledgeGraph) -> OneHopSet:
+    """Widen the core by every 1-hop neighbor of a core triple.
 
-    The neighbors come from one sort over the core phrases' ascending
-    postings (KnowledgeGraph.neighbors). match_count is left as spot_triples
-    made it and shared with the new record: a neighbor covers at most one
-    matched entry (two would have put it in the core) and reads 0 if none.
+    The returned record keeps the graph. Its expanded list, the core and
+    then the neighbors in triple-id order, is built on first read, from one
+    sort over the core phrases' ascending postings (KnowledgeGraph.neighbors).
+    match_count is left as spot_triples made it and shared with the new
+    record: a neighbor covers at most one matched entry (two would have put
+    it in the core) and reads 0 if none.
     """
-    return replace(spotted, expanded=spotted.core + list(graph.neighbors(*spotted.core)))
+    return OneHopSet(spotted, graph)
 
 
 def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -> SlotAssignment:
@@ -115,14 +157,15 @@ def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -
     the graph's fixed prior order, so the triples are sorted by prior and
     then, stably, by match_count: equal counts keep their prior order.
     Match counts are coverage counts, never negative, and an id without one
-    counts 0. So only the triples that cover a matched entry are ranked by
-    both; the zero-count ones are sorted by prior only when fewer than
-    m_slots triples cover an entry.
+    counts 0. So only the triples that cover a matched entry, the record's
+    covering(), are ranked by both; expanded is read, and the zero-count
+    triples in it sorted by prior, only when fewer than m_slots triples
+    cover an entry.
     """
     if m_slots < 1:
         raise ValueError(f"need at least one slot, got {m_slots}")
     counts, prior = spotted.match_count, graph.prior.__getitem__
-    chosen = sorted(filter(counts.get, spotted.expanded), key=prior)
+    chosen = sorted(spotted.covering(), key=prior)
     chosen.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay in prior order
     del chosen[m_slots:]
     if len(chosen) < m_slots:

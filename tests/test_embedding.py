@@ -148,6 +148,47 @@ def test_table_rejects_bad_kind_and_shape():
         EmbeddingTable(dim=2, entity_vectors={"a": np.zeros(3)})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_table_rejects_non_finite_vectors(value):
+    # a = [nan, 0] beside s, c and b once gave <s, r, b> the filtered rank 3,
+    # counting a neither ahead of b nor behind it: a rank no sort defines
+    ents = {"a": np.array([value, 0.0]), "s": np.zeros(2), "c": np.array([0.1, 0.1]),
+            "b": np.array([5.0, 5.0])}
+    with pytest.raises(ValueError, match="vector for 'a' holds a non-finite value"):
+        EmbeddingTable(dim=2, entity_vectors=ents, relation_vectors={"r": np.zeros(2)})
+    with pytest.raises(ValueError, match="vector for 'r' holds a non-finite value"):
+        EmbeddingTable(dim=2, entity_vectors={"s": np.zeros(2)},
+                       relation_vectors={"r": np.array([0.0, value])})
+
+
+def test_adopt_indexes_once_without_the_dict_constructor(monkeypatch):
+    g = _chain_graph(6, 2)
+    made = train_transe(g, TransEConfig(dim=4, epochs=1, seed=1))
+    by_dict = EmbeddingTable(dim=4, entity_vectors=dict(made.entity_vectors),
+                             relation_vectors=dict(reversed(made.relation_vectors.items())),
+                             graph=g)
+    indexed = []
+    index = EmbeddingTable._index_entities
+
+    def counting(self):
+        indexed.append(self)
+        index(self)
+
+    monkeypatch.setattr(embedding, "_read_only_rows", None)  # the dict constructor's pass
+    monkeypatch.setattr(EmbeddingTable, "_index_entities", counting)
+    phrases = sorted(made.entity_vectors)
+    relations = dict(reversed(made.relation_vectors.items()))
+    adopted = EmbeddingTable.adopt(4, phrases, made.entity_matrix.copy(), relations, graph=g)
+    assert indexed == [adopted]
+    assert (adopted.dim, adopted.kind, adopted.history, adopted.graph) == (4, "transe", None, g)
+    for name in ("entity_matrix", "entity_sq", "graph_rows"):
+        assert getattr(adopted, name).tobytes() == getattr(by_dict, name).tobytes()
+    assert adopted.entity_row == by_dict.entity_row
+    assert list(adopted.relation_vectors) == list(by_dict.relation_vectors) == sorted(relations)
+    with pytest.raises(ValueError, match="unknown table kind 'word2vec'"):
+        EmbeddingTable.adopt(4, phrases, made.entity_matrix.copy(), {}, kind="word2vec")
+
+
 # ---------------------------------------------------------------- training
 
 def test_train_transe_epochs_zero_gives_normalized_init():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vkmn
-from vkmn.kb import Triple, build_graph
+from vkmn.kb import KnowledgeGraph, Triple, build_graph
 from vkmn.spotting import (
     SlotAssignment,
     SpottedSet,
@@ -309,17 +309,23 @@ def test_prior_is_the_frequency_sum_then_id_order(raw):
 
 
 @given(one_pool_triples, st.sets(st.sampled_from(["a", "b", "c", "r", "q", "zzz"]), max_size=5),
-       st.data())
+       st.booleans(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_expand_and_select_match_reference(raw, matched, data):
+def test_expand_and_select_match_reference(raw, matched, read_first, data):
+    # select_slots ranks from match_count and lists the one-hop set only to
+    # fill the slots; the result must not depend on whether a reader listed
+    # it first
     g = build_graph([Triple(*p) for p in raw])
     spotted = spot_triples(matched, g)
     out = expand_neighborhood(spotted, g)
     expanded, match_count = _reference_expand(spotted, g)
-    assert out.expanded == expanded
     assert list(out.match_count.items()) == list(match_count.items())  # dict order too
-    m = data.draw(st.integers(1, len(out.expanded) + 2))
-    assert select_slots(out, g, m).slots == _reference_slots(out, g, m)
+    m = data.draw(st.integers(1, len(expanded) + 2))
+    if read_first:
+        assert out.expanded == expanded
+    slots = select_slots(out, g, m).slots
+    assert out.expanded == expanded
+    assert slots == _reference_slots(out, g, m)
 
 
 @given(one_pool_triples, st.sets(st.sampled_from(["a", "b", "c", "r", "q", "zzz"]), max_size=5))
@@ -350,6 +356,37 @@ def test_select_slots_matches_heapq_on_the_2k_triple_task():
         for m in (1, 8, 200):
             assert select_slots(spotted, g, m).slots == _reference_slots(spotted, g, m)
     assert covering > 50 * len(task.train)
+
+
+def test_one_hop_list_is_built_only_when_too_few_triples_cover_an_entry(monkeypatch):
+    calls = []
+    neighbors = KnowledgeGraph.neighbors
+
+    def counting(self, *tids):
+        calls.append(tids)
+        return neighbors(self, *tids)
+
+    monkeypatch.setattr(KnowledgeGraph, "neighbors", counting)
+    # on the 2k-triple task at least 8 triples of every question's one-hop
+    # set cover a matched entry, so the list is never built
+    big = make_synthetic_task(n_entities=200, n_relations=20, n_triples=2000)
+    for ex in big.train[:500]:
+        spot_question(ex.question_tokens, big.graph)
+    assert calls == []
+    # on the seed-7 reference task many questions fill the slots from the rest
+    task = make_synthetic_task(seed=7)
+    short = 0
+    for ex in task.train + task.test:
+        del calls[:]
+        sa = spot_question(ex.question_tokens, task.graph)
+        expanded, match_count = _reference_expand(sa.spotted, task.graph)
+        too_few = sum(1 for tid in expanded if match_count[tid]) < 8
+        assert len(calls) == too_few
+        for _ in range(3):
+            assert sa.spotted.expanded == expanded
+        assert len(calls) == 1
+        short += too_few
+    assert short > 10
 
 
 _MATCH_COUNTS_OF_SEED_7_TASK = """
