@@ -21,10 +21,10 @@ import numpy as np
 
 from .embedding import (EmbeddingTable, TransEConfig, load_embeddings,
                         make_bow_table, save_embeddings, train_transe)
-from .kb import (KnowledgeGraph, Triple, build_graph, canonicalize_relation,
+from .kb import (KnowledgeGraph, Triple, canonicalize_relation,
                  dedup_triples, extract_triples_from_qa, keep_frequent, lemmatize,
-                 load_kb, load_qa_pairs, make_triple, read_question, read_records,
-                 save_kb)
+                 load_kb, load_qa_pairs, make_triple, parse_triple, read_question,
+                 read_records, save_kb)
 from .model import MODES, ModelDims, load_checkpoint, save_checkpoint
 from .spotting import spot_question
 from .training import (EvalReport, TrainConfig, answer_question, evaluate,
@@ -105,7 +105,7 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
     file_triples: List[Triple] = []
     if args.triples:
         file_triples = [make_triple(*t)
-                        for t in load_kb(args.triples).triples]
+                        for t in dedup_triples(read_records(args.triples, parse_triple))]
     extracted: List[Triple] = []
     n_pairs = 0
     if args.qa:
@@ -124,8 +124,7 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
     # filter_by_frequency(merged) without deduplicating again: phrases are
     # counted over the raw list, repeats included
     kept = keep_frequent(deduped, Counter(chain.from_iterable(merged)), args.min_count)
-    graph = build_graph(kept)
-    save_kb(graph, args.out)
+    save_kb(kept, args.out)
     stats = {
         "qa_pairs": n_pairs,
         "extracted": len(extracted),
@@ -133,8 +132,8 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
         "merged": len(merged),
         "deduplicated": len(deduped),
         "kept": len(kept),
-        "entities": len(graph.entities),
-        "relations": len(graph.relations),
+        "entities": len({p for s, _, t in kept for p in (s, t)}),
+        "relations": len({t.relation for t in kept}),
     }
     _print_summary(stats, args.json)
     return 0
@@ -343,7 +342,7 @@ def cmd_make_synth(args: argparse.Namespace) -> int:
     train_path = os.path.join(args.out, "train.jsonl")
     test_path = os.path.join(args.out, "test.jsonl")
     pairs_path = os.path.join(args.out, "pairs.json")
-    save_kb(task.graph, kb_path)
+    save_kb(task.graph.triples, kb_path)
     save_dataset(task.train, train_path)
     save_dataset(task.test, test_path)
     with open(pairs_path, "w", encoding="utf-8", newline="\n") as f:

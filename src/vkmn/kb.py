@@ -342,10 +342,10 @@ def build_graph(triples: Sequence[Triple]) -> KnowledgeGraph:
     return KnowledgeGraph(triples)
 
 
-def save_kb(graph: KnowledgeGraph, path: str) -> None:
+def save_kb(triples: Iterable[Triple], path: str) -> None:
     """One triple per line: subject<TAB>relation<TAB>target, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for t in graph.triples:
+        for t in triples:
             f.write(f"{t.subject}\t{t.relation}\t{t.target}\n")
 
 
@@ -374,7 +374,8 @@ def read_records(path: str, parse: Callable[[str], R]) -> Iterator[R]:
             yield record
 
 
-def _parse_triple(line: str) -> Triple:
+def parse_triple(line: str) -> Triple:
+    """One KB line: subject<TAB>relation<TAB>target."""
     fields = line.split("\t")
     if len(fields) != 3:
         raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
@@ -382,7 +383,7 @@ def _parse_triple(line: str) -> Triple:
 
 
 def load_kb(path: str) -> KnowledgeGraph:
-    return build_graph(list(read_records(path, _parse_triple)))
+    return build_graph(list(read_records(path, parse_triple)))
 
 
 def read_question(record) -> List[str]:

@@ -8,13 +8,13 @@ memory slots.
 Coverage, the number of distinct matched entries among a triple's phrases,
 is counted once per question, by spot_triples; that one Counter is the
 match_count every later stage reads. Each stage works in proportion to what
-it keeps. The one-hop widening returns a record that keeps the graph and
-lists the neighbours, one sort that merges the graph's ascending postings,
-only when its `expanded` is first read. Ranking reads the graph's fixed
-prior order (frequency sum descending, id ascending) as a one-int key, and
-sorts only the few triples of the one-hop set that cover a matched entry,
-found from match_count; it lists the one-hop set, to rank the rest, only
-when those cannot fill the M slots.
+it keeps. One record, SpottedSet, carries a question through the stages.
+The one-hop widening only gives it the graph; its `expanded` list, one sort
+that merges the graph's ascending postings, is built when first read.
+Ranking reads the graph's fixed prior order (frequency sum descending, id
+ascending) as a one-int key, and sorts only the triples of the one-hop set
+that cover a matched entry, found from match_count; it lists the one-hop
+set, to rank the rest, only when those cannot fill the M slots.
 """
 
 from __future__ import annotations
@@ -32,52 +32,27 @@ MAX_NGRAM = 4  # longest multi-word KB entry we scan for
 
 @dataclass
 class SpottedSet:
-    """What spotting found for one question. match_count is its coverage:
+    """What retrieval found for one question. match_count is its coverage:
     triple id -> distinct matched entries among the triple's phrases, for
-    every triple that covers one; other ids read 0. expanded lists the
-    candidate triples. Stages build new records rather than change one's
-    fields, so records may share one match_count; a OneHopSet only fills its
-    expanded list on first read."""
+    every triple that covers one; other ids read 0. graph is set once the
+    record is widened by one hop; it takes no part in ==, repr or replace,
+    which therefore never list the one-hop set. Stages build new records
+    rather than change one's fields, so records may share one match_count.
+    """
 
     matched_entries: Set[str]
     core: List[int]
-    expanded: List[int]
     match_count: Dict[int, int] = field(default_factory=dict)
-
-    def covering(self) -> List[int]:
-        """The triples of expanded that cover a matched entry, in any order."""
-        return list(filter(self.match_count.get, self.expanded))
-
-
-class OneHopSet(SpottedSet):
-    """A spotted set widened by one hop; it keeps the graph it was widened in.
-
-    expanded is the core and then every triple outside it that shares a
-    phrase with a core triple, ascending: built from the graph on first
-    read and kept, so every reader gets the same list. covering() finds its
-    triples from match_count alone, without building that list.
-    """
-
-    def __init__(self, spotted: SpottedSet, graph: KnowledgeGraph):
-        self.matched_entries = spotted.matched_entries
-        self.core = spotted.core
-        self.match_count = spotted.match_count
-        self.graph = graph
+    graph: Optional[KnowledgeGraph] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def expanded(self) -> List[int]:
+        """The candidate triples, built on first read and kept: the core, and
+        once widened every triple outside it that shares a phrase with a core
+        triple, ascending."""
+        if self.graph is None:
+            return list(self.core)
         return self.core + list(self.graph.neighbors(*self.core))
-
-    def covering(self) -> List[int]:
-        # the one-hop set is every triple that shares a phrase with a core
-        # triple (a core triple shares all of its own). Each id of
-        # match_count holds a matched entry, so when every matched entry is
-        # a core phrase, every one of them lies in the set.
-        triples, counts = self.graph.triples, self.match_count
-        phrases = {p for tid in self.core for p in triples[tid]}
-        if self.matched_entries <= phrases:
-            return list(filter(counts.get, counts))
-        return [tid for tid, c in counts.items() if c and not phrases.isdisjoint(triples[tid])]
 
 
 @dataclass
@@ -132,11 +107,10 @@ def spot_triples(matched: Set[str], graph: KnowledgeGraph) -> SpottedSet:
     index = graph.entry_index
     counts = Counter(chain.from_iterable(index.get(p, ()) for p in sorted(matched)))
     core = sorted(tid for tid, c in counts.items() if c >= 2)
-    return SpottedSet(matched_entries=set(matched), core=core, expanded=list(core),
-                      match_count=counts)
+    return SpottedSet(matched_entries=set(matched), core=core, match_count=counts)
 
 
-def expand_neighborhood(spotted: SpottedSet, graph: KnowledgeGraph) -> OneHopSet:
+def expand_neighborhood(spotted: SpottedSet, graph: KnowledgeGraph) -> SpottedSet:
     """Widen the core by every 1-hop neighbor of a core triple.
 
     The returned record keeps the graph. Its expanded list, the core and
@@ -146,7 +120,7 @@ def expand_neighborhood(spotted: SpottedSet, graph: KnowledgeGraph) -> OneHopSet
     record: a neighbor covers at most one matched entry (two would have put
     it in the core) and reads 0 if none.
     """
-    return OneHopSet(spotted, graph)
+    return SpottedSet(spotted.matched_entries, spotted.core, spotted.match_count, graph)
 
 
 def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -> SlotAssignment:
@@ -156,16 +130,31 @@ def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -
     KB act as a prior), then triple id for determinism. The last two are
     the graph's fixed prior order, so the triples are sorted by prior and
     then, stably, by match_count: equal counts keep their prior order.
-    Match counts are coverage counts, never negative, and an id without one
-    counts 0. So only the triples that cover a matched entry, the record's
-    covering(), are ranked by both; expanded is read, and the zero-count
-    triples in it sorted by prior, only when fewer than m_slots triples
-    cover an entry.
+    Only the expanded triples that cover a matched entry are ranked by
+    both, and they are found from match_count: a record never widened
+    ranks its core; a widened one, every id of match_count when each
+    matched entry is a phrase of a core triple, and otherwise the ids that
+    share a phrase with a core triple. expanded is read, and its zero-count
+    triples sorted by prior, only when fewer than m_slots triples cover an
+    entry.
     """
     if m_slots < 1:
         raise ValueError(f"need at least one slot, got {m_slots}")
     counts, prior = spotted.match_count, graph.prior.__getitem__
-    chosen = sorted(spotted.covering(), key=prior)
+    if spotted.graph is None:
+        chosen = list(spotted.core)
+    else:
+        # the one-hop set is every triple that shares a phrase with a core
+        # triple (a core triple shares all of its own). Each id of
+        # match_count holds a matched entry, so when every matched entry is
+        # a core phrase, every one of them lies in the set.
+        triples = graph.triples
+        phrases = {p for tid in spotted.core for p in triples[tid]}
+        if spotted.matched_entries <= phrases:
+            chosen = list(counts)
+        else:
+            chosen = [tid for tid in counts if not phrases.isdisjoint(triples[tid])]
+    chosen.sort(key=prior)
     chosen.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay in prior order
     del chosen[m_slots:]
     if len(chosen) < m_slots:

@@ -311,7 +311,7 @@ def test_determinism_and_round_trips(reference_task, tmp_path):
     ckpt_ok = l_before.tobytes() == l_after.tobytes()
 
     kb_path = tmp_path / "kb.tsv"
-    save_kb(task.graph, kb_path)
+    save_kb(task.graph.triples, kb_path)
     kb_ok = load_kb(kb_path).triples == task.graph.triples
 
     qa = tmp_path / "qa.jsonl"

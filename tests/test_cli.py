@@ -8,7 +8,7 @@ import pytest
 
 from vkmn.cli import main
 from vkmn.embedding import embed_entry
-from vkmn.kb import load_kb
+from vkmn.kb import KnowledgeGraph, load_kb
 from vkmn.model import load_checkpoint
 from vkmn.spotting import spot_question
 from vkmn.training import load_dataset, make_synthetic_task, train
@@ -69,6 +69,27 @@ def test_build_kb_rerun_byte_identical(tmp_path):
                    "--out", str(out), "--min-count", "1"])
         assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_build_kb_from_triples_builds_no_graph(tmp_path, capsys, monkeypatch):
+    built = []
+    init = KnowledgeGraph.__init__
+
+    def counting(self, triples):
+        built.append(len(triples))
+        init(self, triples)
+
+    monkeypatch.setattr(KnowledgeGraph, "__init__", counting)
+    kb = _kb_file(tmp_path)
+    with open(kb, "a", encoding="utf-8") as f:
+        f.write("\ncat\teat\tfish\n")  # a blank line and a repeated row
+    out = tmp_path / "out.tsv"
+    rc = main(["build-kb", "--triples", str(kb), "--out", str(out), "--min-count", "1", "--json"])
+    assert rc == 0 and built == []
+    assert json.loads(capsys.readouterr().out) == {
+        "qa_pairs": 0, "extracted": 0, "ingested": 3, "merged": 3, "deduplicated": 3,
+        "kept": 3, "entities": 4, "relations": 2}
+    assert out.read_bytes() == _kb_file(tmp_path, "want.tsv").read_bytes()
 
 
 def test_build_kb_requires_some_input(tmp_path, capsys):

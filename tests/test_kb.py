@@ -386,7 +386,7 @@ def test_kb_round_trip(tmp_path):
     triples = [_t("dog", "eat", "bone"), _t("sit on top", "of", "red car")]
     g = build_graph(triples)
     path = tmp_path / "kb.tsv"
-    save_kb(g, path)
+    save_kb(g.triples, path)
     g2 = load_kb(path)
     assert g2.triples == g.triples
     assert g2.entry_index == g.entry_index

@@ -391,7 +391,7 @@ _phrases = st.text(alphabet="ab \\_\x0b", min_size=1, max_size=4).filter(
 def test_kb_save_load_round_trip(tmp_path_factory, raw):
     graph = build_graph([Triple(*t) for t in raw])
     path = tmp_path_factory.mktemp("kb") / "kb.tsv"
-    save_kb(graph, path)
+    save_kb(graph.triples, path)
     assert load_kb(path).triples == graph.triples
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -15,7 +16,6 @@ import vkmn
 from vkmn.kb import KnowledgeGraph, Triple, build_graph
 from vkmn.spotting import (
     SlotAssignment,
-    SpottedSet,
     expand_neighborhood,
     match_entries,
     select_slots,
@@ -326,6 +326,9 @@ def test_expand_and_select_match_reference(raw, matched, read_first, data):
     slots = select_slots(out, g, m).slots
     assert out.expanded == expanded
     assert slots == _reference_slots(out, g, m)
+    # a record never widened ranks its core alone
+    assert select_slots(spotted, g, m).slots == _reference_slots(spotted, g, m)
+    assert spotted.expanded == spotted.core
 
 
 @given(one_pool_triples, st.sets(st.sampled_from(["a", "b", "c", "r", "q", "zzz"]), max_size=5))
@@ -349,13 +352,13 @@ def test_select_slots_matches_heapq_on_the_2k_triple_task():
     # where the seed-7 reference task has a handful
     task = make_synthetic_task(n_entities=200, n_relations=20, n_triples=2000)
     g = task.graph
-    covering = 0
+    covered = 0
     for ex in task.train:
         spotted = spot_question(ex.question_tokens, g).spotted
-        covering += sum(1 for tid in spotted.expanded if spotted.match_count.get(tid))
+        covered += sum(1 for tid in spotted.expanded if spotted.match_count.get(tid))
         for m in (1, 8, 200):
             assert select_slots(spotted, g, m).slots == _reference_slots(spotted, g, m)
-    assert covering > 50 * len(task.train)
+    assert covered > 50 * len(task.train)
 
 
 def test_one_hop_list_is_built_only_when_too_few_triples_cover_an_entry(monkeypatch):
@@ -410,16 +413,24 @@ def test_match_count_order_does_not_depend_on_hash_seed():
     assert outs[0] == outs[1]
 
 
-@given(one_pool_triples, st.data())
-@settings(max_examples=300, deadline=None)
-def test_select_slots_matches_heapq_on_hand_built_sets(raw, data):
-    # expanded in any order; match_count lacks some ids and may name ids
-    # outside expanded; counts are coverage counts, so never negative
-    g = build_graph([Triple(*p) for p in raw])
-    ids = data.draw(st.permutations(range(len(g))))
-    expanded = ids[:data.draw(st.integers(0, len(ids)))]
-    match_count = data.draw(st.dictionaries(st.integers(0, len(g) - 1), st.integers(0, 3)))
-    spotted = SpottedSet(matched_entries=set(), core=[], expanded=list(expanded),
-                         match_count=match_count)
-    m = data.draw(st.integers(1, len(expanded) + 2))
-    assert select_slots(spotted, g, m).slots == _reference_slots(spotted, g, m)
+def test_widened_records_compare_print_and_replace_without_the_one_hop_list(monkeypatch):
+    calls = []
+    neighbors = KnowledgeGraph.neighbors
+
+    def counting(self, *tids):
+        calls.append(tids)
+        return neighbors(self, *tids)
+
+    monkeypatch.setattr(KnowledgeGraph, "neighbors", counting)
+    g = _graph()
+    a = expand_neighborhood(spot_triples({"dog", "eat"}, g), g)
+    b = expand_neighborhood(spot_triples({"dog", "eat"}, g), g)
+    assert a == b and a != expand_neighborhood(spot_triples({"cat", "eat"}, g), g)
+    assert "graph" not in repr(a) and "expanded" not in repr(a)
+    copy = replace(a, core=list(a.core))
+    assert calls == []
+    assert copy.graph is g and copy == a
+    assert select_slots(copy, g, 2).slots == select_slots(a, g, 2).slots == [0, 1]
+    assert calls == []
+    assert copy.expanded == a.expanded == [0, 1, 2]
+    assert len(calls) == 2
