@@ -542,10 +542,14 @@ def load_embeddings(path: str, graph: Optional[KnowledgeGraph] = None,
         raise ValueError(f"{path}: no '<count> <dim>' header")
     if len(seen) != count:
         raise ValueError(f"{path}: header says {count} rows, found {len(seen)}")
+    # what parsing kept goes before the table builds its own phrase maps
+    seen.clear()
     values.flags.writeable = False
     phrases = sorted(entity_rows)
     order = [entity_rows[p] for p in phrases]
+    entity_rows.clear()
     entities = values[:top] if order == list(range(top)) else values[order]
+    del order
     return EmbeddingTable.adopt(dim, phrases, entities,
                                 {p: values[r] for p, r in relation_rows.items()},
                                 kind=kind, graph=graph)

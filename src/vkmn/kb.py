@@ -287,27 +287,14 @@ class KnowledgeGraph:
     frequency_sums[t] is the summed KB frequency of triple t's three
     phrases; prior[t] is t's place in the graph's fixed ranking order,
     frequency sum descending, then id ascending, so that ranking by prior
-    is ranking by (-frequency_sums[t], t) with a one-int key.
+    is ranking by (-frequency_sums[t], t) with a one-int key; each posting
+    of entry_index lists its ids in that order.
     """
 
     def __init__(self, triples: Sequence[Triple]):
         triples = dedup_triples(triples)  # each its own phrase tuple
         self.triples: List[Triple] = triples
         self.frequency: Counter = Counter(chain.from_iterable(triples))
-        postings = defaultdict(list)
-        for tid, (s, r, t) in enumerate(triples):
-            # ids arrive ascending; a phrase in two roles of one triple is listed once
-            postings[s].append(tid)
-            if r != s:
-                postings[r].append(tid)
-            if t != s and t != r:
-                postings[t].append(tid)
-        # phrase -> ascending tuple of the ids of the triples that contain it; a
-        # plain dict, so that reading an unknown phrase cannot add it
-        self.entry_index: Dict[str, Tuple[int, ...]] = {
-            p: tuple(ids) for p, ids in postings.items()}
-        self.entities: Set[str] = set(chain.from_iterable(map(itemgetter(0, 2), triples)))
-        self.relations: Set[str] = set(map(itemgetter(1), triples))
         freq = self.frequency
         # packed, 8 bytes a triple rather than a list of int objects
         self.frequency_sums = array("q", [freq[s] + freq[r] + freq[t] for s, r, t in triples])
@@ -315,6 +302,21 @@ class KnowledgeGraph:
         order = np.argsort(-np.frombuffer(self.frequency_sums, dtype=np.int64), kind="stable")
         self.prior = array("q", bytes(8 * len(order)))
         np.frombuffer(self.prior, dtype=np.int64)[order] = np.arange(len(order))
+        postings = defaultdict(list)
+        for tid in order.tolist():
+            # ids arrive in prior order; a phrase in two roles of one triple is listed once
+            s, r, t = triples[tid]
+            postings[s].append(tid)
+            if r != s:
+                postings[r].append(tid)
+            if t != s and t != r:
+                postings[t].append(tid)
+        # phrase -> tuple of the ids of the triples that contain it, in prior
+        # order; a plain dict, so that reading an unknown phrase cannot add it
+        self.entry_index: Dict[str, Tuple[int, ...]] = {
+            p: tuple(ids) for p, ids in postings.items()}
+        self.entities: Set[str] = set(chain.from_iterable(map(itemgetter(0, 2), triples)))
+        self.relations: Set[str] = set(map(itemgetter(1), triples))
         self._entry_set = frozenset(self.entry_index)
 
     def __len__(self) -> int:
@@ -328,7 +330,7 @@ class KnowledgeGraph:
         """Ids of the triples outside tids that share a phrase with one of them.
 
         Ascending, as the keys of a dict, so that they also compare and
-        combine as a set. One sort merges the phrases' ascending postings.
+        combine as a set. One sort orders the phrases' postings.
         """
         index = self.entry_index
         phrases = {p for tid in tids for p in self.triples[tid]}

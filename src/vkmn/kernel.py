@@ -86,10 +86,6 @@ def softmax(scores: Array) -> Array:
     return _softmax(as_vector(scores, "scores"))
 
 
-def log_sum_exp(v: Array) -> float:
-    return _log_sum_exp(as_vector(v, "v"))
-
-
 def cross_entropy_loss(logits: Array, label: int) -> float:
     """-log softmax(logits)[label], fused through log-sum-exp."""
     logits = as_vector(logits, "logits")

@@ -5,25 +5,25 @@ collect triples anchored by at least two matched entries, widen by one hop
 to the triples sharing a phrase with them, then rank and pad into exactly M
 memory slots.
 
-Coverage, the number of distinct matched entries among a triple's phrases,
-is counted once per question, by spot_triples; that one Counter is the
-match_count every later stage reads. Each stage works in proportion to what
-it keeps. One record, SpottedSet, carries a question through the stages.
-The one-hop widening only gives it the graph; its `expanded` list, one sort
-that merges the graph's ascending postings, is built when first read.
-Ranking reads the graph's fixed prior order (frequency sum descending, id
-ascending) as a one-int key, and sorts only the triples of the one-hop set
-that cover a matched entry, found from match_count; it lists the one-hop
-set, to rank the rest, only when those cannot fill the M slots.
+Each stage works in proportion to what it keeps. One record, SpottedSet,
+carries a question through the stages. spot_triples finds the core by set
+intersections of the matched entries' postings. The one-hop widening only
+gives the record the graph; its `expanded` list is built when first read.
+Ranking is by coverage, the number of distinct matched entries among a
+triple's phrases, then by the graph's fixed prior order (frequency sum
+descending, id ascending) as a one-int key. Coverage is counted for the
+core alone: any other triple covers at most one entry and lies in exactly
+that entry's posting, which lists its ids in prior order, so the best of
+them are read off the posting heads. The one-hop set is listed, to rank
+the triples that cover nothing, only when those cannot fill the M slots.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, filterfalse
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set
+from itertools import compress, filterfalse, islice
+from typing import AbstractSet, List, Optional, Sequence, Set
 
 from .kb import KnowledgeGraph
 
@@ -32,17 +32,14 @@ MAX_NGRAM = 4  # longest multi-word KB entry we scan for
 
 @dataclass
 class SpottedSet:
-    """What retrieval found for one question. match_count is its coverage:
-    triple id -> distinct matched entries among the triple's phrases, for
-    every triple that covers one; other ids read 0. graph is set once the
-    record is widened by one hop; it takes no part in ==, repr or replace,
-    which therefore never list the one-hop set. Stages build new records
-    rather than change one's fields, so records may share one match_count.
+    """What retrieval found for one question: the matched entries and the
+    core, the ids of the triples covering at least two of them, ascending.
+    graph is set once the record is widened by one hop; it takes no part in
+    ==, repr or replace, which therefore never list the one-hop set.
     """
 
     matched_entries: Set[str]
     core: List[int]
-    match_count: Dict[int, int] = field(default_factory=dict)
     graph: Optional[KnowledgeGraph] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -101,65 +98,65 @@ def match_entries(question_tokens: Sequence[str], entries: AbstractSet[str]) -> 
 def spot_triples(matched: Set[str], graph: KnowledgeGraph) -> SpottedSet:
     """Core retrieval: triples whose fields cover >= 2 distinct matched entries.
 
-    The coverage Counter is kept whole as match_count. The entries are read
-    in sorted order, so its key order does not depend on string hashing.
+    An id is in the core once it turns up in a second matched posting: the
+    core is the union of each posting's intersection with the ids of the
+    postings read before it, whatever order they are read in.
     """
     index = graph.entry_index
-    counts = Counter(chain.from_iterable(index.get(p, ()) for p in sorted(matched)))
-    core = sorted(tid for tid, c in counts.items() if c >= 2)
-    return SpottedSet(matched_entries=set(matched), core=core, match_count=counts)
+    seen, core = set(), set()
+    for ids in filter(None, map(index.get, matched)):
+        core |= seen.intersection(ids)
+        seen.update(ids)
+    return SpottedSet(matched_entries=set(matched), core=sorted(core))
 
 
 def expand_neighborhood(spotted: SpottedSet, graph: KnowledgeGraph) -> SpottedSet:
     """Widen the core by every 1-hop neighbor of a core triple.
 
     The returned record keeps the graph. Its expanded list, the core and
-    then the neighbors in triple-id order, is built on first read, from one
-    sort over the core phrases' ascending postings (KnowledgeGraph.neighbors).
-    match_count is left as spot_triples made it and shared with the new
-    record: a neighbor covers at most one matched entry (two would have put
-    it in the core) and reads 0 if none.
+    then the neighbors in triple-id order, is built on first read.
     """
-    return SpottedSet(spotted.matched_entries, spotted.core, spotted.match_count, graph)
+    return SpottedSet(spotted.matched_entries, spotted.core, graph)
 
 
 def select_slots(spotted: SpottedSet, graph: KnowledgeGraph, m_slots: int = 8) -> SlotAssignment:
     """Rank expanded triples into exactly m_slots slots, padding with nulls.
 
-    Rank: match_count desc, then frequency-sum desc (phrases common in the
-    KB act as a prior), then triple id for determinism. The last two are
-    the graph's fixed prior order, so the triples are sorted by prior and
-    then, stably, by match_count: equal counts keep their prior order.
-    Only the expanded triples that cover a matched entry are ranked by
-    both, and they are found from match_count: a record never widened
-    ranks its core; a widened one, every id of match_count when each
-    matched entry is a phrase of a core triple, and otherwise the ids that
-    share a phrase with a core triple. expanded is read, and its zero-count
-    triples sorted by prior, only when fewer than m_slots triples cover an
-    entry.
+    Rank: coverage desc, then frequency-sum desc (phrases common in the KB
+    act as a prior), then triple id for determinism; the last two are the
+    graph's prior order. Only core triples cover two entries; a record
+    never widened ranks them alone. Any other triple covering one lies in
+    exactly one matched posting, held in prior order, and a core triple in
+    none but a core phrase's. So the next `need` come from the first
+    need + len(core) = m_slots ids of each matched core phrase's posting,
+    and from the first `need` ids of any other matched posting that share a
+    phrase with a core triple. expanded is read, and its triples that cover
+    nothing sorted by prior, only when these cannot fill the slots.
     """
     if m_slots < 1:
         raise ValueError(f"need at least one slot, got {m_slots}")
-    counts, prior = spotted.match_count, graph.prior.__getitem__
-    if spotted.graph is None:
-        chosen = list(spotted.core)
-    else:
-        # the one-hop set is every triple that shares a phrase with a core
-        # triple (a core triple shares all of its own). Each id of
-        # match_count holds a matched entry, so when every matched entry is
-        # a core phrase, every one of them lies in the set.
-        triples = graph.triples
-        phrases = {p for tid in spotted.core for p in triples[tid]}
-        if spotted.matched_entries <= phrases:
-            chosen = list(counts)
-        else:
-            chosen = [tid for tid in counts if not phrases.isdisjoint(triples[tid])]
-    chosen.sort(key=prior)
-    chosen.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay in prior order
+    matched, triples, prior = spotted.matched_entries, graph.triples, graph.prior.__getitem__
+    chosen = sorted(spotted.core, key=lambda tid: (-len(matched.intersection(triples[tid])),
+                                                   prior(tid)))
     del chosen[m_slots:]
-    if len(chosen) < m_slots:
-        rest = sorted(filterfalse(counts.get, spotted.expanded), key=prior)
-        chosen += rest[:m_slots - len(chosen)]
+    need = m_slots - len(chosen)
+    if need and chosen and spotted.graph is not None:  # no core: nothing is one hop away
+        index, core = graph.entry_index, set(chosen)
+        phrases = {p for tid in chosen for p in triples[tid]}
+        heads: List[int] = []
+        for p in matched:
+            if p in phrases:  # every triple holding p shares it with a core triple
+                heads += filterfalse(core.__contains__, index[p][:m_slots])
+            else:
+                heads += islice((tid for tid in index.get(p, ())
+                                 if not phrases.isdisjoint(triples[tid])), need)
+        heads.sort(key=prior)
+        chosen += heads[:need]
+        need = m_slots - len(chosen)
+    if need:
+        expanded = spotted.expanded  # rest: those of its triples that cover nothing
+        rest = compress(expanded, map(matched.isdisjoint, map(triples.__getitem__, expanded)))
+        chosen += sorted(rest, key=prior)[:need]
     return SlotAssignment(slots=chosen + [None] * (m_slots - len(chosen)), spotted=spotted)
 
 

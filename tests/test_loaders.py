@@ -283,7 +283,8 @@ def test_every_flipped_string_byte_names_the_file(tmp_path):
 
 def _reference_graph(triples):
     """KnowledgeGraph's build as written for a slotted-dataclass Triple: a
-    list of phrase tuples, `defaultdict` postings, set comprehensions and a
+    list of phrase tuples, `defaultdict` postings filled in the order of a
+    sort by (frequency sum descending, id), set comprehensions and a
     `Counter`. The oracle load_kb must match field for field, orders
     included."""
     seen, kept = set(), []
@@ -293,8 +294,11 @@ def _reference_graph(triples):
             kept.append(t)
     phrases = [(t.subject, t.relation, t.target) for t in kept]
     frequency = Counter(chain.from_iterable(phrases))
+    sums = [frequency[s] + frequency[r] + frequency[t] for s, r, t in phrases]
+    order = sorted(range(len(phrases)), key=lambda tid: (-sums[tid], tid))
     postings = defaultdict(list)
-    for tid, (s, r, t) in enumerate(phrases):
+    for tid in order:
+        s, r, t = phrases[tid]
         postings[s].append(tid)
         if r != s:
             postings[r].append(tid)
@@ -304,7 +308,8 @@ def _reference_graph(triples):
         "triples": phrases,
         "entry_index": [(p, tuple(ids)) for p, ids in postings.items()],
         "frequency": list(frequency.items()),
-        "frequency_sums": [frequency[s] + frequency[r] + frequency[t] for s, r, t in phrases],
+        "frequency_sums": sums,
+        "prior": sorted(range(len(order)), key=order.__getitem__),
         "entities": list({p for s, _, t in phrases for p in (s, t)}),
         "relations": list({r for _, r, _ in phrases}),
     }
@@ -329,6 +334,7 @@ def test_load_kb_matches_the_reference_build(tmp_path_factory, rows):
     assert list(graph.entry_index.items()) == want["entry_index"]
     assert list(graph.frequency.items()) == want["frequency"]
     assert graph.frequency_sums.tolist() == want["frequency_sums"]
+    assert graph.prior.tolist() == want["prior"]
     assert list(graph.entities) == want["entities"]
     assert list(graph.relations) == want["relations"]
 

@@ -4,9 +4,7 @@ import heapq
 import os
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import replace
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -79,8 +77,8 @@ def test_spot_requires_two_distinct_entries():
     assert spot_triples({"eat"}, g).core == []
     got = spot_triples({"dog", "eat"}, g)
     assert got.core == [0]
-    # match_count is the whole coverage: 1 and 2 cover one entry each
-    assert got.match_count == {0: 2, 1: 1, 2: 1}
+    # 1 and 2 cover one entry each: ranked after the core, tied sums by id
+    assert select_slots(expand_neighborhood(got, g), g, 4).slots == [0, 1, 2, None]
 
 
 def test_spot_repeated_phrase_counts_once():
@@ -111,7 +109,7 @@ def test_expand_appends_one_hop_neighbors():
     # triple 0 shares "eat" with 1 and "dog" with 2; 3 is disconnected
     assert out.core == [0]
     assert out.expanded == [0, 1, 2]
-    assert out.match_count == {0: 2, 1: 1, 2: 1}
+    assert out.matched_entries == {"dog", "eat"} and out.graph is g
 
 
 def test_expand_no_core_no_neighbors():
@@ -170,6 +168,22 @@ def test_select_slots_rank_ordering():
     # 0 and 2 both cover two entries; 1 covers one. Among {0, 2} the
     # frequency sums are equal (same phrases), so tid breaks the tie.
     assert sa.slots == [0, 2, 1]
+
+
+def test_select_slots_scans_past_the_head_of_a_posting_outside_the_core():
+    g = build_graph(
+        [
+            Triple("a", "r", "b"),    # 0, the core of {a, r, x}
+            Triple("x", "q", "y1"),   # 1-3 hold the matched "x" but share
+            Triple("x", "q", "y2"),   #     no phrase with the core, and rank
+            Triple("x", "q", "y3"),   #     ahead of 4 by frequency sum
+            Triple("x", "s", "b"),    # 4 holds "x" and shares "b" with 0
+        ]
+    )
+    spotted = expand_neighborhood(spot_triples({"a", "r", "x"}, g), g)
+    assert spotted.core == [0] and g.entry_index["x"] == (1, 2, 3, 4)
+    assert select_slots(spotted, g, m_slots=2).slots == [0, 4]
+    assert select_slots(spotted, g, m_slots=3).slots == [0, 4, None]
 
 
 def test_select_slots_rejects_zero_slots():
@@ -249,37 +263,44 @@ def test_spot_question_shape_and_determinism(raw, tokens, m):
 @given(st.lists(st.tuples(*[st.sampled_from(["a", "b", "c", "r"])] * 3), min_size=1, max_size=12),
        st.sets(st.sampled_from(["a", "b", "c", "r", "zzz"]), max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_expanded_match_count_is_matched_coverage(raw, matched):
-    # every field drawn from one pool: self-loops and dual-role phrases occur
+def test_expanded_ranks_by_matched_coverage(raw, matched):
+    # every field drawn from one pool: self-loops and dual-role phrases occur.
+    # Ranking every expanded triple lists them by matched coverage, counted
+    # here over each triple's distinct phrases; only the core covers two
     g = build_graph([Triple(*p) for p in raw])
     out = expand_neighborhood(spot_triples(matched, g), g)
-    assert set(out.match_count) == {tid for tid, t in enumerate(g.triples)
-                                    if matched & set(t.phrases())}
-    for tid in out.expanded:
-        assert out.match_count[tid] == len(matched & set(g.triples[tid].phrases()))
+    slots = select_slots(out, g, len(out.expanded) + 1).slots
+    assert slots[-1] is None and sorted(slots[:-1]) == sorted(out.expanded)
+    coverage = [len(matched & set(g.triples[tid].phrases())) for tid in slots[:-1]]
+    assert coverage == sorted(coverage, reverse=True)
+    assert sorted(slots[:sum(c >= 2 for c in coverage)]) == out.core
 
 
 # ------------------------------------------- against the set-and-heap reference
 #
-# expand_neighborhood merges ascending postings and select_slots sorts only
-# the triples that cover a matched entry. The references below are the
-# expressions they replace: a set union of postings, Counter coverage over
-# the sorted matched entries, and heapq.nsmallest over every expanded triple
-# with the full tuple key.
+# expand_neighborhood sorts the core phrases' postings, and select_slots
+# counts coverage for the core alone and reads the other triples off the
+# heads of the matched postings. The references below are the expressions
+# they replace: a set union of postings, coverage counted for every triple,
+# and heapq.nsmallest over every expanded triple with the full tuple key.
+
+def _coverage(matched, triple):
+    return len(matched & set(triple.phrases()))
+
 
 def _reference_expand(spotted, graph):
+    """The expanded list, and every triple's coverage of the matched entries."""
     phrases = {p for tid in spotted.core for p in graph.triples[tid].phrases()}
     neighbors = set().union(*(set(graph.entry_index[p]) for p in phrases))
     neighbors.difference_update(spotted.core)
-    match_count = Counter(chain.from_iterable(graph.entry_index.get(p, ())
-                                              for p in sorted(spotted.matched_entries)))
-    return spotted.core + sorted(neighbors), match_count
+    coverage = [_coverage(spotted.matched_entries, t) for t in graph.triples]
+    return spotted.core + sorted(neighbors), coverage
 
 
 def _reference_slots(spotted, graph, m_slots):
-    counts, sums = spotted.match_count, graph.frequency_sums
+    matched, triples, sums = spotted.matched_entries, graph.triples, graph.frequency_sums
     chosen = heapq.nsmallest(m_slots, spotted.expanded,
-                             key=lambda tid: (-counts.get(tid, 0), -sums[tid], tid))
+                             key=lambda tid: (-_coverage(matched, triples[tid]), -sums[tid], tid))
     return chosen + [None] * (m_slots - len(chosen))
 
 
@@ -292,11 +313,13 @@ one_pool_triples = st.lists(st.tuples(*[st.sampled_from(["a", "b", "c", "r", "q"
 @given(one_pool_triples)
 @settings(max_examples=200, deadline=None)
 def test_entry_index_postings_are_strictly_ascending_tuples(raw):
+    # strictly ascending in prior, the ranking order select_slots reads off
+    # the posting heads, over the ids of the triples holding the phrase
     g = build_graph([Triple(*p) for p in raw])
     for phrase, ids in g.entry_index.items():
         assert type(ids) is tuple
-        assert all(a < b for a, b in zip(ids, ids[1:]))
-        assert ids == tuple(tid for tid, t in enumerate(g.triples) if phrase in t.phrases())
+        assert all(g.prior[a] < g.prior[b] for a, b in zip(ids, ids[1:]))
+        assert sorted(ids) == [tid for tid, t in enumerate(g.triples) if phrase in t.phrases()]
 
 
 @given(one_pool_triples)
@@ -312,14 +335,14 @@ def test_prior_is_the_frequency_sum_then_id_order(raw):
        st.booleans(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_expand_and_select_match_reference(raw, matched, read_first, data):
-    # select_slots ranks from match_count and lists the one-hop set only to
-    # fill the slots; the result must not depend on whether a reader listed
-    # it first
+    # select_slots ranks from the posting heads and lists the one-hop set
+    # only to fill the slots; the result must not depend on whether a reader
+    # listed it first
     g = build_graph([Triple(*p) for p in raw])
     spotted = spot_triples(matched, g)
     out = expand_neighborhood(spotted, g)
-    expanded, match_count = _reference_expand(spotted, g)
-    assert list(out.match_count.items()) == list(match_count.items())  # dict order too
+    expanded, coverage = _reference_expand(spotted, g)
+    assert spotted.core == [tid for tid, c in enumerate(coverage) if c >= 2]
     m = data.draw(st.integers(1, len(expanded) + 2))
     if read_first:
         assert out.expanded == expanded
@@ -333,18 +356,17 @@ def test_expand_and_select_match_reference(raw, matched, read_first, data):
 
 @given(one_pool_triples, st.sets(st.sampled_from(["a", "b", "c", "r", "q", "zzz"]), max_size=5))
 @settings(max_examples=300, deadline=None)
-def test_match_count_is_coverage_counted_once(raw, matched):
-    # spot_triples counts every triple's coverage; expansion only appends ids
+def test_core_is_found_once_and_shared_by_expansion(raw, matched):
+    # spot_triples finds the core, the triples covering two matched
+    # entries, once; expansion shares it and the matched entries, and only
+    # appends ids
     g = build_graph([Triple(*p) for p in raw])
     spotted = spot_triples(matched, g)
-    before = list(spotted.match_count.items())
-    for tid, t in enumerate(g.triples):
-        assert spotted.match_count[tid] == len(matched & set(t.phrases()))
-    assert set(spotted.match_count) == {tid for tid, t in enumerate(g.triples)
-                                        if matched & set(t.phrases())}
+    assert spotted.matched_entries == matched and spotted.matched_entries is not matched
+    assert spotted.core == [tid for tid, t in enumerate(g.triples) if _coverage(matched, t) >= 2]
     out = expand_neighborhood(spotted, g)
-    assert out.match_count is spotted.match_count
-    assert list(out.match_count.items()) == before
+    assert out.core is spotted.core and out.matched_entries is spotted.matched_entries
+    assert out.expanded[:len(out.core)] == out.core
 
 
 def test_select_slots_matches_heapq_on_the_2k_triple_task():
@@ -355,10 +377,85 @@ def test_select_slots_matches_heapq_on_the_2k_triple_task():
     covered = 0
     for ex in task.train:
         spotted = spot_question(ex.question_tokens, g).spotted
-        covered += sum(1 for tid in spotted.expanded if spotted.match_count.get(tid))
+        covered += sum(1 for tid in spotted.expanded
+                       if not spotted.matched_entries.isdisjoint(g.triples[tid]))
         for m in (1, 8, 200):
             assert select_slots(spotted, g, m).slots == _reference_slots(spotted, g, m)
     assert covered > 50 * len(task.train)
+
+
+# a relation phrase in at least half the triples: its posting is the long
+# one, and a bag of a few entries often matches a phrase of no core triple
+hub_kbs = st.tuples(
+    st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=60),
+    st.lists(st.tuples(st.integers(0, 11), st.sampled_from(["r0", "r1", "r2"]),
+                       st.integers(0, 11)), max_size=30),
+).filter(lambda kb: len(kb[1]) <= len(kb[0]))
+
+
+@given(hub_kbs, st.data())
+@settings(max_examples=200, deadline=None)
+def test_select_slots_matches_heapq_when_one_phrase_is_in_half_the_triples(kb, data):
+    hub, rest = kb
+    g = build_graph([Triple(f"e{s}", "hub", f"e{t}") for s, t in sorted(hub)]
+                    + [Triple(f"e{s}", r, f"e{t}") for s, r, t in rest])
+    assert 2 * len(g.entry_index["hub"]) >= len(g)
+    bag = data.draw(st.sets(st.sampled_from(sorted(g.entry_set())), min_size=1, max_size=5))
+    spotted = spot_triples(bag, g)
+    out = expand_neighborhood(spotted, g)
+    for m in (1, 3, 8, 20, 50):
+        assert select_slots(out, g, m).slots == _reference_slots(out, g, m)
+        assert select_slots(spotted, g, m).slots == _reference_slots(spotted, g, m)
+
+
+class _CountedReads(tuple):
+    """A posting that records how many ids each read of it touches."""
+
+    def __new__(cls, ids, reads):
+        posting = super().__new__(cls, ids)
+        posting.reads = reads
+        return posting
+
+    def __getitem__(self, key):
+        span = range(len(self))[key]
+        self.reads.append(len(span) if isinstance(span, range) else 1)
+        return tuple.__getitem__(self, key)
+
+    def __iter__(self):
+        self.reads.append(len(self))
+        return tuple.__iter__(self)
+
+    def __contains__(self, tid):
+        self.reads.append(len(self))
+        return tuple.__contains__(self, tid)
+
+
+def test_select_slots_reads_a_core_phrase_posting_only_through_a_short_slice():
+    # 5,000 triples share the relation "hub"; targets repeat, so frequency
+    # sums and prior differ from id order. One "near" triple shares t53 with
+    # triple 4321
+    g = build_graph([Triple(f"s{i}", "hub", f"t{i % 97}") for i in range(5000)]
+                    + [Triple(f"u{j}", "near", f"t{j}") for j in range(60)])
+    questions = [({"s4321", "hub"}, [4321]),           # both are core phrases
+                 ({"s4321", "hub", "near"}, [4321]),   # and "near" is not
+                 ({"t3", "hub"}, [i for i in range(5000) if i % 97 == 3])]
+    full = g.entry_index["hub"]
+    for matched, core in questions:
+        want = {m: _reference_slots(expand_neighborhood(spot_triples(matched, g), g), g, m)
+                for m in (1, 8, 60)}
+        out = expand_neighborhood(spot_triples(matched, g), g)
+        assert out.core == core
+        reads = []
+        g.entry_index["hub"] = _CountedReads(full, reads)
+        try:
+            for m, slots in want.items():
+                del reads[:]
+                assert select_slots(out, g, m).slots == slots
+                assert bool(reads) == (m > len(core))  # the core alone can fill them
+                assert max(reads, default=0) <= m + len(core)
+        finally:
+            g.entry_index["hub"] = full
+        assert "expanded" not in vars(out)  # the one-hop list was never built
 
 
 def test_one_hop_list_is_built_only_when_too_few_triples_cover_an_entry(monkeypatch):
@@ -382,8 +479,8 @@ def test_one_hop_list_is_built_only_when_too_few_triples_cover_an_entry(monkeypa
     for ex in task.train + task.test:
         del calls[:]
         sa = spot_question(ex.question_tokens, task.graph)
-        expanded, match_count = _reference_expand(sa.spotted, task.graph)
-        too_few = sum(1 for tid in expanded if match_count[tid]) < 8
+        expanded, coverage = _reference_expand(sa.spotted, task.graph)
+        too_few = sum(1 for tid in expanded if coverage[tid]) < 8
         assert len(calls) == too_few
         for _ in range(3):
             assert sa.spotted.expanded == expanded
@@ -392,24 +489,28 @@ def test_one_hop_list_is_built_only_when_too_few_triples_cover_an_entry(monkeypa
     assert short > 10
 
 
-_MATCH_COUNTS_OF_SEED_7_TASK = """
+_CORES_AND_SLOTS_OF_SEED_7_TASK = """
 from vkmn.spotting import spot_question
 from vkmn.training import make_synthetic_task
 task = make_synthetic_task(seed=7)
 for ex in task.train + task.test:
-    spotted = spot_question(ex.question_tokens, task.graph).spotted
-    print(list(spotted.match_count.items()))
+    sa = spot_question(ex.question_tokens, task.graph)
+    print(sa.spotted.core, sa.slots)
 """
 
 
-def test_match_count_order_does_not_depend_on_hash_seed():
+def test_cores_and_slots_do_not_depend_on_hash_seed():
     src = os.path.dirname(os.path.dirname(vkmn.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outs = [subprocess.run([sys.executable, "-c", _MATCH_COUNTS_OF_SEED_7_TASK],
+    # each question's core and slots; the slots rank triples covering one
+    # entry, read off the posting heads, after the core
+    outs = [subprocess.run([sys.executable, "-c", _CORES_AND_SLOTS_OF_SEED_7_TASK],
                            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
                            capture_output=True, text=True, check=True).stdout
             for seed in ("0", "1")]
-    assert outs[0].count("\n") == 92 and "), (" in outs[0]
+    assert outs[0].count("\n") == 92
+    assert any(line.startswith("[") and "," in line.split("]")[0]  # a core of two triples
+               for line in outs[0].splitlines())
     assert outs[0] == outs[1]
 
 
